@@ -13,14 +13,13 @@ Two drivers pair a controller with the existing execution machinery:
   plan: non-linear plans simply get no structural revisions, only
   tuning knobs.
 * :class:`AdaptiveShardedEngine` wraps a
-  :class:`~repro.parallel.sharded.ShardedEngine`.  It reuses the
-  supervisor's epoch-lockstep workers (inline/thread/process) and their
-  new ``stats``/``revise`` commands: after each epoch the coordinator
-  sums per-shard stats (:func:`~repro.observe.feedback.merge_stats`),
-  decides *centrally*, and broadcasts the identical revision list to
-  every worker — so all shards migrate at the same epoch boundary and
-  the combine discipline (which never involves the revised filter
-  prefix) is untouched.
+  :class:`~repro.parallel.sharded.ShardedEngine` and drives its workers
+  through :func:`~repro.parallel.runtime.run_lockstep` with one hook:
+  after each epoch the coordinator sums per-shard stats
+  (:func:`~repro.observe.feedback.merge_stats`), decides *centrally*,
+  and broadcasts the identical revision list to every worker — so all
+  shards migrate at the same epoch boundary and the combine discipline
+  (which never involves the revised filter prefix) is untouched.
 
 Both drivers produce outputs bit-identical to their static
 counterparts: every revision is output-invariant by construction (see
@@ -34,28 +33,23 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.adaptive.controller import AdaptiveConfig, AdaptiveController
-from repro.adaptive.revision import apply_revisions, chain_of
-from repro.core.engine import Engine, RunResult, resolve_sources
+from repro.adaptive.revision import apply_revisions, apply_to_chain, chain_of
+from repro.core.engine import (
+    Engine,
+    RunResult,
+    feed_interleaved,
+    resolve_sources,
+)
 from repro.core.graph import Plan
 from repro.core.metrics import MetricsRegistry
 from repro.core.stream import Source, merge_sources
-from repro.core.tuples import Punctuation, Record
 from repro.errors import PlanError
 from repro.observe.feedback import collect_stats, merge_stats
-from repro.parallel.combine import merge_metrics
 from repro.parallel.partition import PartitionSpec, split_epochs
-from repro.parallel.sharded import ShardedEngine, _ShardRun
-from repro.resilience.supervisor import (
-    _fresh_ops,
-    _InlineWorker,
-    _ProcessWorker,
-    _ShardCore,
-    _ThreadWorker,
-)
+from repro.parallel.runtime import run_lockstep
+from repro.parallel.sharded import ShardedEngine
 
 __all__ = ["AdaptiveEngine", "AdaptiveShardedEngine", "run_adaptive"]
-
-Element = Record | Punctuation
 
 
 class AdaptiveEngine:
@@ -131,31 +125,9 @@ class AdaptiveEngine:
             merged = ((only.name, el) for el in only.events())
         else:
             merged = merge_sources(*by_name.values())
-        pending: list[Element] = []
-        pending_input: str | None = None
-        for input_name, element in merged:
-            size = engine.batch_size
-            if size is None:
-                engine.feed(input_name, element)
-                if isinstance(element, Punctuation):
-                    self._boundary()
-                continue
-            if pending and (
-                input_name != pending_input or len(pending) >= size
-            ):
-                engine.feed_batch(pending_input, pending)
-                pending = []
-            pending_input = input_name
-            pending.append(element)
-            if isinstance(element, Punctuation):
-                # Close the chunk at the punctuation — flushes keep
-                # their tuple-at-a-time positions — then adapt: the
-                # boundary falls *between* chunks, never inside one.
-                engine.feed_batch(pending_input, pending)
-                pending = []
-                self._boundary()
-        if pending:
-            engine.feed_batch(pending_input, pending)
+        # Engine.run's chunk discipline, with the boundary falling
+        # *between* chunks, never inside one.
+        feed_interleaved(engine, merged, on_boundary=self._boundary)
         return engine.finish()
 
     def _boundary(self) -> None:
@@ -195,10 +167,10 @@ class AdaptiveShardedEngine:
     """Epoch-lockstep sharded execution with central re-planning.
 
     The wrapped :class:`~repro.parallel.sharded.ShardedEngine` supplies
-    the strategy analysis, partitioning, and combine discipline; this
-    driver replaces its one-shot shard execution with the supervisor's
-    per-epoch worker protocol so there *is* a coordinator moment at
-    every epoch boundary to gather stats and broadcast revisions.
+    the strategy analysis, partitioning, workers, and combine
+    discipline; this driver runs them epoch by epoch so there *is* a
+    coordinator moment at every boundary to gather stats and broadcast
+    revisions.
 
     Plans whose strategy resolves to ``single`` delegate to an
     :class:`AdaptiveEngine` (same controller), so the adaptive layer
@@ -231,7 +203,6 @@ class AdaptiveShardedEngine:
             column_backend=column_backend,
         )
         self.controller = controller or AdaptiveController(config)
-        self._observe = observe
 
     @property
     def strategy(self) -> str:
@@ -250,121 +221,51 @@ class AdaptiveShardedEngine:
             return AdaptiveEngine(
                 engine.plan,
                 controller=self.controller,
-                batch_size=engine.batch_size,
-                observe=self._observe,
-                representation=engine.representation,
-                column_backend=engine.column_backend,
+                **engine.config.kwargs(),
             ).run(sources)
         by_name = resolve_sources(engine.plan, sources)
-        elements = list(by_name[st.input_name].events())
-        epochs = split_epochs(elements, st.routing)
-        n = st.routing.n_shards
-        workers = [self._make_worker(st, shard) for shard in range(n)]
+        epochs = split_epochs(by_name[st.input_name].events(), st.routing)
         # Structural shadow: one more copy of the shard chain, revised in
         # lockstep with the workers so the controller always sees the
         # current chain shape.  Decisions are name-based, so the shadow
         # standing in for N distinct worker instances is sound.
-        shadow = _fresh_ops(st)
+        shadow = engine.shard_ops()
         batch_size = engine.batch_size
         if batch_size == "auto":
             batch_size = Engine.DEFAULT_BATCH_SIZE
         representation = engine.representation
-        accepted: list[list[list[Element]]] = [[] for _ in range(n)]
-        progress: list[list[float]] = [[] for _ in range(n)]
-        try:
-            for epoch in epochs:
-                for shard, worker in enumerate(workers):
-                    worker.start_epoch(
-                        epoch.batches[shard], epoch.punct, None
-                    )
-                for shard in range(n):
-                    produced, prog = workers[shard].join_epoch(None)
-                    accepted[shard].append(produced)
-                    progress[shard].append(prog)
-                # Cross-shard feedback: advice any shard's operators
-                # pushed to their local ingress this epoch is broadcast
-                # so every shard sheds the same slice (a hot key is hot
-                # wherever the partitioner routed it; installation is
-                # idempotent on the originating shard).
-                exchanged: list = []
-                for worker in workers:
-                    exchanged.extend(worker.take_feedback())
-                if exchanged:
-                    for worker in workers:
-                        worker.apply_feedback(exchanged)
-                # Epoch boundary: every worker is quiescent.  Decide
-                # centrally on the summed stats, broadcast identically.
-                totals = merge_stats([w.stats() for w in workers])
-                revisions = self.controller.observe(
-                    totals,
-                    shadow,
-                    batch_size=batch_size,
-                    has_guard=False,
-                    representation=representation,
-                )
-                if revisions:
-                    for worker in workers:
-                        worker.revise(revisions)
-                    shadow = self._apply_to_shadow(shadow, revisions)
-                    for revision in revisions:
-                        if hasattr(revision, "representation"):
-                            representation = revision.representation
-                        elif not revision.structural and hasattr(
-                            revision, "batch_size"
-                        ):
-                            batch_size = revision.batch_size
-            runs: list[_ShardRun] = []
-            for shard, worker in enumerate(workers):
-                flush, _final_prog, metrics = worker.finish()
-                runs.append(
-                    _ShardRun(
-                        accepted[shard], flush, progress[shard], metrics
-                    )
-                )
-        finally:
-            for worker in workers:
-                worker.close(abandon=True)
-        combined = engine._combine(epochs, runs)
-        metrics = merge_metrics(run.metrics for run in runs)
-        self._publish(metrics)
-        return RunResult(
-            outputs={st.output_name: combined}, metrics=metrics
-        )
 
-    def _apply_to_shadow(self, shadow: list, revisions) -> list:
-        from repro.adaptive.revision import apply_to_chain
-
-        for revision in revisions:
-            if revision.structural:
-                shadow = apply_to_chain(shadow, revision)
-        return shadow
-
-    def _make_worker(self, st, shard: int):
-        engine = self.engine
-        ops = _fresh_ops(st)
-        observe = engine._shard_observe(shard)
-        if engine.backend == "process":
-            return _ProcessWorker(
-                ops,
-                st.input_name,
-                st.output_name,
-                engine.batch_size,
-                observe,
-                engine.representation,
-                engine.column_backend,
+        def decide(_epoch: int, _produced: list, _exchanged: list) -> None:
+            # Epoch boundary: every worker is quiescent.  Decide
+            # centrally on the summed stats, broadcast identically.
+            nonlocal shadow, batch_size, representation
+            totals = merge_stats([w.call("stats") for w in workers])
+            revisions = self.controller.observe(
+                totals,
+                shadow,
+                batch_size=batch_size,
+                has_guard=False,
+                representation=representation,
             )
-        core = _ShardCore(
-            ops,
-            st.input_name,
-            st.output_name,
-            engine.batch_size,
-            observe,
-            engine.representation,
-            engine.column_backend,
-        )
-        if engine.backend == "thread":
-            return _ThreadWorker(core)
-        return _InlineWorker(core)
+            if not revisions:
+                return
+            for worker in workers:
+                worker.call("revise", revisions)
+            for revision in revisions:
+                if revision.structural:
+                    shadow = apply_to_chain(shadow, revision)
+                if hasattr(revision, "representation"):
+                    representation = revision.representation
+                elif not revision.structural and hasattr(
+                    revision, "batch_size"
+                ):
+                    batch_size = revision.batch_size
+
+        with engine.workers() as workers:
+            runs = run_lockstep(workers, epochs, after_epoch=decide)
+        result = engine.assemble(epochs, runs)
+        self._publish(result.metrics)
+        return result
 
     def _publish(self, metrics: MetricsRegistry) -> None:
         controller = self.controller

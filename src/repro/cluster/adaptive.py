@@ -184,17 +184,11 @@ class AdaptiveClusterEngine:
                 placement, pipeline = self._maybe_replace(
                     placement, pipeline, acct, cpu, retired, index + 1
                 )
-        tail, results = pipeline.finish()
+        tail, registries = pipeline.finish()
         acct.ship(pipeline.last_node(), self.cluster.egress, tail)
         out.extend(tail)
-        self._charge_cpu(
-            cpu, [res.metrics for res in results], placement
-        )
-        metrics = merge_metrics(
-            retired
-            + [res.metrics for res in results]
-            + [registry_holder]
-        )
+        self._charge_cpu(cpu, registries, placement)
+        metrics = merge_metrics(retired + registries + [registry_holder])
         network = acct.finalize(metrics)
         for node, seconds in sorted(cpu.items()):
             metrics.incr(f"cluster.node.{node}.cpu_time", seconds)

@@ -45,8 +45,8 @@ from typing import Mapping, Sequence
 
 from repro.cluster.place import Placement, plan_placement
 from repro.cluster.spec import ClusterSpec
-from repro.core.engine import Engine, RunResult, resolve_sources
-from repro.core.graph import Plan, linear_plan
+from repro.core.engine import Engine, resolve_sources
+from repro.core.graph import Plan
 from repro.core.metrics import MetricsRegistry
 from repro.core.stream import Source
 from repro.core.tuples import Punctuation, Record
@@ -58,6 +58,7 @@ from repro.parallel.combine import (
     merge_metrics,
 )
 from repro.parallel.partition import RoundRobinPartition, split_epochs
+from repro.parallel.runtime import ExecConfig, ShardCore
 
 __all__ = ["ClusterEngine", "ClusterResult", "run_cluster"]
 
@@ -158,33 +159,6 @@ class _NetAccounting:
 # ---------------------------------------------------------------------------
 
 
-def _feed_elements(engine: Engine, input_name: str, elements) -> list:
-    """Feed mixed records/punctuations, honouring the micro-batch size."""
-    produced: list[Element] = []
-    size = engine.batch_size
-    if size is None:
-        for el in elements:
-            produced.extend(engine.feed(input_name, el))
-        return produced
-    buffer: list[Record] = []
-
-    def drain() -> None:
-        for i in range(0, len(buffer), size):
-            produced.extend(
-                engine.feed_batch(input_name, buffer[i : i + size])
-            )
-        buffer.clear()
-
-    for el in elements:
-        if isinstance(el, Record):
-            buffer.append(el)
-        else:
-            drain()
-            produced.extend(engine.feed(input_name, el))
-    drain()
-    return produced
-
-
 class _StagePipeline:
     """The placement's stages as a cascade of started engines.
 
@@ -205,62 +179,48 @@ class _StagePipeline:
     ) -> None:
         self.stages = stages
         self.chains = chains
-        self.input_name = input_name
-        self.output_name = output_name
         self.acct = acct
         self.cluster = cluster
-        self.engines: list[Engine] = []
-        self.emitted: list[int] = []
-        for ops in chains:
-            engine = Engine(
-                linear_plan(input_name, ops, output_name),
-                batch_size=batch_size,
-            )
-            engine.start()
-            self.engines.append(engine)
-            self.emitted.append(0)
+        config = ExecConfig(batch_size=batch_size)
+        self.cores = [
+            ShardCore(ops, input_name, output_name, config) for ops in chains
+        ]
+        self.engines = [core.engine for core in self.cores]
 
-    def _feed_stage(self, index: int, elements) -> list:
-        produced = _feed_elements(
-            self.engines[index], self.input_name, elements
-        )
-        self.emitted[index] += len(produced)
-        return produced
+    def _cascade(self, first: int, prev: str, data) -> list:
+        """Feed ``data`` (leaving node ``prev``) through stages
+        ``first``.. in order, crossing links as it goes."""
+        for index in range(first, len(self.stages)):
+            node = self.stages[index].node
+            self.acct.ship(prev, node, data)
+            data = self.cores[index].feed_elements(data)
+            prev = node
+        return data
 
     def feed(self, elements) -> list:
         """Cascade ``elements`` from the ingress through every stage."""
-        data = list(elements)
-        prev = self.cluster.ingress
-        for index, stage in enumerate(self.stages):
-            self.acct.ship(prev, stage.node, data)
-            data = self._feed_stage(index, data)
-            prev = stage.node
-        return data
+        return self._cascade(0, self.cluster.ingress, list(elements))
 
-    def finish(self) -> tuple[list, list[RunResult]]:
+    def finish(self) -> tuple[list, list[MetricsRegistry]]:
         """Flush stages front to back, cascading each stage's tail.
 
         Mirrors the single engine's ``_flush_all`` (operators flush in
         topological order, each flush propagating downstream before
         the next operator flushes), so the tail order is identical.
         Returns the elements the *last* stage emits during the flush,
-        plus every stage's :class:`RunResult` for metrics merging.
+        plus every stage's metrics registry for merging.
         """
         tail: list[Element] = []
-        results: list[RunResult] = []
-        for index, engine in enumerate(self.engines):
-            result = engine.finish()
-            results.append(result)
-            carry = result.outputs[self.output_name][self.emitted[index]:]
-            prev = self.stages[index].node
-            for later in range(index + 1, len(self.engines)):
-                self.acct.ship(prev, self.stages[later].node, carry)
-                carry = self._feed_stage(later, carry)
-                prev = self.stages[later].node
-            # After cascading, ``carry`` is last-stage output (or the
+        registries: list[MetricsRegistry] = []
+        for index, core in enumerate(self.cores):
+            flush, metrics = core.finish()
+            registries.append(metrics)
+            # After cascading, the carry is last-stage output (or the
             # last stage's own flush when index is the last stage).
-            tail.extend(carry)
-        return tail, results
+            tail.extend(
+                self._cascade(index + 1, self.stages[index].node, flush)
+            )
+        return tail, registries
 
     def last_node(self) -> str:
         return self.stages[-1].node
@@ -383,7 +343,7 @@ class ClusterEngine:
         for elements in result.outputs.values():
             acct.ship(node, self.cluster.egress, elements)
         return self._assemble(
-            result.outputs, [result], acct, self._stage_cpu(
+            result.outputs, [result.metrics], acct, self._stage_cpu(
                 [result.metrics], {op: node for op in
                  self.placement.stages[0].ops}
             )
@@ -445,18 +405,15 @@ class ClusterEngine:
                 epoch_outputs.append(produced)
                 progress.append(partial_op.max_ts)
             acct.end_epoch(registry_holder)
-        tail, results = pipeline.finish()
+        tail, registries = pipeline.finish()
         acct.ship(pipeline.last_node(), self.cluster.egress, tail)
         if placement.mode == "chain":
             out.extend(tail)
         else:
             out = self._merge_partials(epochs, epoch_outputs, progress, tail)
-        cpu = self._stage_cpu(
-            [res.metrics for res in results], placement.assignment()
-        )
+        cpu = self._stage_cpu(registries, placement.assignment())
         return self._assemble(
-            {output_name: out}, results, acct, cpu,
-            extra=registry_holder,
+            {output_name: out}, [*registries, registry_holder], acct, cpu
         )
 
     # -- push-down merge (single-run shard discipline) -------------------
@@ -545,13 +502,8 @@ class ClusterEngine:
             cpu[node] = cpu.get(node, 0.0) + busy / self.cluster.speed(node)
         return cpu
 
-    def _assemble(
-        self, outputs, results, acct, cpu, extra=None
-    ) -> ClusterResult:
-        metrics = merge_metrics(
-            [res.metrics for res in results]
-            + ([extra] if extra is not None else [])
-        )
+    def _assemble(self, outputs, registries, acct, cpu) -> ClusterResult:
+        metrics = merge_metrics(registries)
         network = acct.finalize(metrics)
         for node, seconds in sorted(cpu.items()):
             metrics.incr(f"cluster.node.{node}.cpu_time", seconds)

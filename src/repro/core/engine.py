@@ -35,6 +35,7 @@ __all__ = [
     "EngineCheckpoint",
     "run_plan",
     "resolve_sources",
+    "feed_interleaved",
 ]
 
 Element = Record | Punctuation
@@ -1155,6 +1156,41 @@ def resolve_sources(
     if extra:
         raise PlanError(f"sources {sorted(extra)} match no plan input")
     return by_name
+
+
+def feed_interleaved(engine: "Engine", merged, on_boundary=None) -> None:
+    """Feed an interleaved ``(input_name, element)`` stream into a
+    started ``engine`` with :meth:`Engine.run`'s chunk discipline.
+
+    Chunks are cut exactly as ``Engine._run_batched`` cuts them —
+    ``batch_size`` consecutive same-input elements or a punctuation,
+    whichever comes first, so flushes keep their tuple-at-a-time
+    positions.  ``batch_size`` is read live: ``on_boundary()`` (called
+    after each punctuation is fully processed, i.e. *between* chunks) or
+    the caller between calls may retune it.
+    """
+    pending: list[Element] = []
+    pending_input: str | None = None
+    for input_name, element in merged:
+        size = engine.batch_size
+        if size is None:
+            engine.feed(input_name, element)
+        else:
+            if pending and (
+                input_name != pending_input or len(pending) >= size
+            ):
+                engine.feed_batch(pending_input, pending)
+                pending = []
+            pending_input = input_name
+            pending.append(element)
+            if not isinstance(element, Punctuation):
+                continue
+            engine.feed_batch(pending_input, pending)
+            pending = []
+        if on_boundary is not None and isinstance(element, Punctuation):
+            on_boundary()
+    if pending:
+        engine.feed_batch(pending_input, pending)
 
 
 def run_plan(

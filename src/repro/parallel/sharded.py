@@ -71,19 +71,16 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import traceback
 import warnings
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.aggregates.functions import First, Last
-from repro.core.engine import Engine, RunResult, resolve_sources
-from repro.core.graph import Plan, linear_plan
-from repro.core.metrics import MetricsRegistry
+from repro.core.engine import RunResult, resolve_sources
+from repro.core.graph import Plan
 from repro.core.stream import Source
 from repro.core.tuples import Punctuation, Record
 from repro.errors import PlanError, ShardError
@@ -98,7 +95,6 @@ from repro.observe.trace import Tracer
 from repro.operators.aggregate import Aggregate, AttrGetter, WindowedAggregate
 from repro.operators.eddy import Eddy, FixedFilterChain
 from repro.operators.map import Extend, MapOp, Rename
-from repro.operators.partial_aggregate import GroupPartial
 from repro.operators.project import DistinctProject, Project
 from repro.operators.select import Select
 from repro.parallel.combine import (
@@ -117,6 +113,7 @@ from repro.parallel.partition import (
     _ExtractorPartition,
     split_epochs,
 )
+from repro.parallel.runtime import ExecConfig, ShardRun, Worker
 from repro.windows.spec import PunctuationWindow, TumblingWindow
 
 __all__ = ["ShardedEngine", "run_sharded"]
@@ -352,112 +349,6 @@ def _analyze(plan: Plan, partition: PartitionSpec) -> _Strategy:
 
 
 # ---------------------------------------------------------------------------
-# Shard workers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ShardRun:
-    """One shard's outputs: per-epoch elements, flush tail, progress."""
-
-    epochs: list
-    flush: list
-    progress: list
-    metrics: MetricsRegistry
-
-
-def _terminal_progress(op) -> float:
-    """The terminal operator's notion of stream progress, per epoch."""
-    if isinstance(op, GroupPartial):
-        return op.max_ts
-    if isinstance(op, Aggregate):
-        return op._max_ts
-    if isinstance(op, WindowedAggregate):
-        if isinstance(op.window, PunctuationWindow):
-            return op._delegate._max_ts
-        if isinstance(op.window, TumblingWindow):
-            return op._watermark
-    return 0.0
-
-
-def _run_shard(
-    ops: list,
-    input_name: str,
-    output_name: str,
-    batches: Sequence[Sequence[Record]],
-    puncts: Sequence[Punctuation | None],
-    batch_size,
-    observe=None,
-    representation: str = "tuple",
-    column_backend: str | None = None,
-) -> _ShardRun:
-    """Run one shard's plan over its epoch slices."""
-    plan = linear_plan(input_name, ops, output_name)
-    engine = Engine(
-        plan,
-        batch_size=batch_size,
-        observe=observe,
-        representation=representation,
-        column_backend=column_backend,
-    )
-    engine.start()
-    terminal = ops[-1]
-    epochs_out: list[list[Element]] = []
-    progress: list[float] = []
-    for batch, punct in zip(batches, puncts):
-        produced: list[Element] = []
-        if batch:
-            size = engine.batch_size
-            if size is None:
-                for el in batch:
-                    produced.extend(engine.feed(input_name, el))
-            else:
-                for i in range(0, len(batch), size):
-                    produced.extend(
-                        engine.feed_batch(input_name, batch[i : i + size])
-                    )
-        if punct is not None:
-            produced.extend(engine.feed(input_name, punct))
-        epochs_out.append(produced)
-        progress.append(_terminal_progress(terminal))
-    result = engine.finish()
-    emitted = sum(len(rows) for rows in epochs_out)
-    flush = result.outputs[output_name][emitted:]
-    return _ShardRun(epochs_out, flush, progress, result.metrics)
-
-
-def _process_shard_entry(
-    conn, ops, input_name, output_name, batches, puncts, batch_size,
-    observe=None, representation="tuple", column_backend=None,
-) -> None:
-    """Forked child: run the shard and ship the result over the pipe.
-
-    Inputs arrive via fork inheritance (lambdas in plans never cross a
-    pickle boundary); only the result — records, aggregate states,
-    metrics, all picklable (trace spans included) — returns through
-    the pipe.
-    """
-    try:
-        run = _run_shard(
-            ops, input_name, output_name, batches, puncts, batch_size,
-            observe, representation, column_backend,
-        )
-        conn.send(("ok", run))
-    except BaseException as exc:  # pragma: no cover - defensive
-        try:
-            conn.send(
-                (
-                    "error",
-                    (f"{type(exc).__name__}: {exc}", traceback.format_exc()),
-                )
-            )
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-# ---------------------------------------------------------------------------
 # The sharded engine
 # ---------------------------------------------------------------------------
 
@@ -544,15 +435,15 @@ class ShardedEngine:
         self.observe_config = ObserveConfig.coerce(observe)
         self.representation = representation
         self.column_backend = column_backend
+        #: The execution keywords as one value: what every shard worker
+        #: and the ``single`` fallback engine are built from.
+        self.config = ExecConfig(
+            batch_size, self.observe_config, representation, column_backend
+        )
         self._strategy = _analyze(plan, partition)
         # Validate batch_size/representation/backend eagerly (Engine
         # performs the same checks per shard).
-        Engine(
-            plan,
-            batch_size=batch_size,
-            representation=representation,
-            column_backend=column_backend,
-        )
+        self.config.engine(plan)
 
     # -- introspection ---------------------------------------------------
 
@@ -586,21 +477,27 @@ class ShardedEngine:
         st = self._strategy
         cfg = self.observe_config
         if st.name == "single":
-            return Engine(
-                self.plan,
-                batch_size=self.batch_size,
-                observe=cfg,
-                representation=self.representation,
-                column_backend=self.column_backend,
-            ).run(sources)
+            return self.config.engine(self.plan).run(sources)
         run_start = perf_counter() if cfg is not None else 0.0
         by_name = resolve_sources(self.plan, sources)
         source = by_name[st.input_name]
         epochs = split_epochs(source.events(), st.routing)
-        shard_ops = self._shard_ops()
-        runs = self._execute(shard_ops, epochs)
-        combined = self._combine(epochs, runs)
-        metrics = merge_metrics(run.metrics for run in runs)
+        # One-shot: every worker is built with its epochs pre-loaded (so
+        # under the process backend they cross by fork inheritance, never
+        # by pickle) and runs them all on one command.
+        with self.workers(epochs) as workers:
+            for worker in workers:
+                worker.start("run_all")
+            runs: list[ShardRun] = []
+            for shard, worker in enumerate(workers):
+                try:
+                    runs.append(worker.join(self.worker_timeout))
+                except ShardError as exc:
+                    raise self._shard_error(
+                        shard, str(exc), exc.worker_traceback
+                    ) from exc
+        result = self.assemble(epochs, runs)
+        metrics = result.metrics
         if cfg is not None and cfg.trace:
             tracer = Tracer(cfg.context, max_spans=cfg.max_spans)
             tracer.record(
@@ -616,10 +513,10 @@ class ShardedEngine:
             # Keep the merged trace chronological: the coordinator span
             # starts before every worker span it encloses.
             metrics.spans.sort(key=lambda span: span.start)
-        return RunResult(outputs={st.output_name: combined}, metrics=metrics)
+        return result
 
-    def _shard_ops(self) -> list[list]:
-        """Derive one operator chain per shard.
+    def shard_ops(self) -> list:
+        """One shard's operator chain, freshly copied.
 
         Chains are deep-copied per shard so no state is shared between
         workers; deepcopy treats the closures inside operators as atoms,
@@ -629,54 +526,58 @@ class ShardedEngine:
         fresh ``linear_plan`` over its chain copy.
         """
         st = self._strategy
-        chains: list[list] = []
-        for _shard in range(st.routing.n_shards):
-            if st.split is not None:
-                ops = [copy.deepcopy(op) for op in st.split.prefix]
-                ops.append(st.split.make_partial())
-            else:
-                ops = [copy.deepcopy(op) for op in st.chain]
-            chains.append(ops)
-        return chains
+        if st.split is not None:
+            ops = [copy.deepcopy(op) for op in st.split.prefix]
+            ops.append(st.split.make_partial())
+            return ops
+        return [copy.deepcopy(op) for op in st.chain]
 
-    def _execute(
-        self, shard_ops: list[list], epochs: list[Epoch]
-    ) -> list[_ShardRun]:
+    def make_worker(
+        self, shard: int, epochs: Sequence[Epoch] | None = None
+    ) -> Worker:
+        """A fresh worker for ``shard`` on this engine's backend.
+
+        With ``epochs`` the worker is pre-loaded for a one-shot
+        ``run_all``; a lone pre-loaded shard runs inline (nothing to
+        overlap with, so a pool or a fork would be pure overhead).
+        """
         st = self._strategy
-        payloads = [
-            (
-                ops,
-                st.input_name,
-                st.output_name,
-                [epoch.batches[shard] for epoch in epochs],
-                [epoch.punct for epoch in epochs],
-                self.batch_size,
-                self._shard_observe(shard),
-                self.representation,
-                self.column_backend,
-            )
-            for shard, ops in enumerate(shard_ops)
-        ]
-        if self.backend == "inline" or len(payloads) == 1:
-            runs = []
-            for shard, payload in enumerate(payloads):
-                try:
-                    runs.append(_run_shard(*payload))
-                except Exception as exc:
-                    raise self._shard_error(
-                        shard, f"{type(exc).__name__}: {exc}",
-                        worker_traceback=traceback.format_exc(),
-                    ) from exc
-            return runs
-        if self.backend == "thread":
-            return self._execute_thread(payloads)
-        return self._execute_process(payloads)
+        backend, preload = self.backend, None
+        if epochs is not None:
+            preload = [(epoch.batches[shard], epoch.punct) for epoch in epochs]
+            if st.routing.n_shards == 1:
+                backend = "inline"
+        return Worker(
+            backend,
+            self.shard_ops(),
+            st.input_name,
+            st.output_name,
+            self.config.for_shard(shard),
+            preload,
+        )
 
-    def _shard_observe(self, shard: int):
-        """Worker observe config: shard spans nest under the run span."""
-        if self.observe_config is None:
-            return None
-        return self.observe_config.with_context("run", f"shard:{shard}")
+    @contextmanager
+    def workers(
+        self, epochs: Sequence[Epoch] | None = None
+    ) -> Iterator[list[Worker]]:
+        """One worker per shard, closed (abandoning anything still
+        running) on the way out.  The list is live: a driver that
+        replaces a failed worker in place gets the replacement closed."""
+        workers: list[Worker] = []
+        try:
+            for shard in range(self._strategy.routing.n_shards):
+                workers.append(self.make_worker(shard, epochs))
+            yield workers
+        finally:
+            for worker in workers:
+                worker.close(abandon=True)
+
+    def assemble(self, epochs: list[Epoch], runs: list[ShardRun]) -> RunResult:
+        """Shard runs into the single engine's output and merged metrics."""
+        return RunResult(
+            outputs={self._strategy.output_name: self._combine(epochs, runs)},
+            metrics=merge_metrics(run.metrics for run in runs),
+        )
 
     def _shard_error(
         self,
@@ -692,94 +593,10 @@ class ShardedEngine:
             worker_traceback=worker_traceback,
         )
 
-    def _execute_thread(self, payloads: list[tuple]) -> list[_ShardRun]:
-        pool = ThreadPoolExecutor(max_workers=len(payloads))
-        futures = [
-            pool.submit(_run_shard, *payload) for payload in payloads
-        ]
-        runs: list[_ShardRun] = []
-        try:
-            for shard, future in enumerate(futures):
-                try:
-                    runs.append(future.result(timeout=self.worker_timeout))
-                except FutureTimeoutError:
-                    raise self._shard_error(
-                        shard,
-                        f"no result within {self.worker_timeout}s "
-                        f"(worker presumed hung)",
-                    ) from None
-                except ShardError:
-                    raise
-                except Exception as exc:
-                    raise self._shard_error(
-                        shard, f"{type(exc).__name__}: {exc}",
-                        worker_traceback=traceback.format_exc(),
-                    ) from exc
-        except ShardError:
-            for future in futures:
-                future.cancel()
-            # Do not wait for a hung worker thread on the way out.
-            pool.shutdown(wait=False)
-            raise
-        pool.shutdown(wait=True)
-        return runs
-
-    def _execute_process(self, payloads: list[tuple]) -> list[_ShardRun]:
-        ctx = multiprocessing.get_context("fork")
-        procs = []
-        for payload in payloads:
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_process_shard_entry, args=(send_conn, *payload)
-            )
-            proc.start()
-            send_conn.close()
-            procs.append((proc, recv_conn))
-        runs: list[_ShardRun] = []
-        failure: ShardError | None = None
-        # Drain pipes before joining: a worker blocked on a full pipe
-        # buffer never exits.
-        for shard, (proc, conn) in enumerate(procs):
-            if failure is not None:
-                conn.close()
-                continue
-            try:
-                if self.worker_timeout is not None and not conn.poll(
-                    self.worker_timeout
-                ):
-                    failure = self._shard_error(
-                        shard,
-                        f"no result within {self.worker_timeout}s "
-                        f"(worker presumed hung)",
-                    )
-                    conn.close()
-                    continue
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = (
-                    "error",
-                    ("worker exited without a result", None),
-                )
-            conn.close()
-            if status == "ok":
-                runs.append(payload)
-            else:
-                message, worker_tb = payload
-                failure = self._shard_error(
-                    shard, message, worker_traceback=worker_tb
-                )
-        for proc, _conn in procs:
-            if failure is not None and proc.is_alive():
-                proc.terminate()
-            proc.join()
-        if failure is not None:
-            raise failure
-        return runs
-
     # -- combining -------------------------------------------------------
 
     def _combine(
-        self, epochs: list[Epoch], runs: list[_ShardRun]
+        self, epochs: list[Epoch], runs: list[ShardRun]
     ) -> list[Element]:
         kind = self._strategy.kind
         if kind == "arrival":

@@ -37,13 +37,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.engine import Engine, EngineCheckpoint, RunResult
+from repro.core.engine import (
+    Engine,
+    EngineCheckpoint,
+    RunResult,
+    feed_interleaved,
+)
 from repro.core.graph import Plan
 from repro.core.metrics import MetricsRegistry
 from repro.core.stream import ListSource
 from repro.core.tuples import Punctuation, Record
 from repro.errors import ReplayError
-from repro.replay.log import EpochRecord, RecordLog
+from repro.parallel.runtime import ExecConfig
+from repro.parallel.sharded import ShardedEngine
+from repro.replay.log import RecordLog
 
 __all__ = ["TimeMachine", "ReplayResult"]
 
@@ -114,19 +121,22 @@ class TimeMachine:
 
     # -- reconstruction ----------------------------------------------------
 
-    def _fresh_engine(self) -> Engine:
+    def _config(self):
+        """The recorded run's execution keywords (plus this machine's
+        ``observe``) as the runtime's one config value."""
         meta = self.log.meta
-        guard = (
-            self.guard_factory() if self.guard_factory is not None else None
-        )
-        engine = Engine(
-            self.build_plan(),
+        return ExecConfig(
             batch_size=meta.get("batch_size"),
-            guard=guard,
             observe=self.observe,
             representation=meta.get("representation", "tuple"),
             column_backend=meta.get("column_backend"),
         )
+
+    def _fresh_engine(self) -> Engine:
+        guard = (
+            self.guard_factory() if self.guard_factory is not None else None
+        )
+        engine = self._config().engine(self.build_plan(), guard=guard)
         engine.start()
         return engine
 
@@ -180,7 +190,7 @@ class TimeMachine:
                 f"(retained range starts at {log.base_epoch})"
             )
         for entry in log.entries(cp_index, epoch):
-            self._feed_epoch(engine, entry)
+            feed_interleaved(engine, entry.elements)
             if entry.revisions:
                 if chain_io is None:
                     chain_io = self._chain_io(engine)
@@ -222,7 +232,7 @@ class TimeMachine:
             name: len(els) for name, els in engine.peek_outputs().items()
         }
         for entry in log.entries(lo, hi):
-            self._feed_epoch(engine, entry)
+            feed_interleaved(engine, entry.elements)
             if entry.revisions:
                 if chain_io is None:
                     chain_io = self._chain_io(engine)
@@ -255,34 +265,6 @@ class TimeMachine:
             advice=advice,
             engine=engine,
         )
-
-    def _feed_epoch(self, engine: Engine, entry: EpochRecord) -> None:
-        """Feed one recorded epoch with the original chunk discipline.
-
-        Chunks are cut exactly as ``Engine._run_batched`` cut them —
-        ``batch_size`` consecutive same-input elements or a punctuation,
-        whichever comes first — and ``batch_size`` is read live because
-        a recorded ``SetBatchSize`` revision changes it between epochs.
-        """
-        pending: list[Element] = []
-        pending_input: str | None = None
-        for input_name, element in entry.elements:
-            size = engine.batch_size
-            if size is None:
-                engine.feed(input_name, element)
-                continue
-            if pending and (
-                input_name != pending_input or len(pending) >= size
-            ):
-                engine.feed_batch(pending_input, pending)
-                pending = []
-            pending_input = input_name
-            pending.append(element)
-            if isinstance(element, Punctuation):
-                engine.feed_batch(pending_input, pending)
-                pending = []
-        if pending:
-            engine.feed_batch(pending_input, pending)
 
     # -- derived replays ---------------------------------------------------
 
@@ -319,6 +301,16 @@ class TimeMachine:
                 f"replay stop {stop} outside [0, {log.end_epoch}]"
             )
 
+    def _sharded(self, partition, backend: str, stop: int | None, what: str):
+        """A :class:`ShardedEngine` configured like the recorded run."""
+        self._check_whole_stream(stop, what)
+        return ShardedEngine(
+            self.build_plan(),
+            partition,
+            backend=backend,
+            **self._config().kwargs(),
+        )
+
     def replay_sharded(
         self,
         partition,
@@ -332,19 +324,7 @@ class TimeMachine:
         partitioner re-splits the journaled stream from position zero,
         which keeps position-stateful routing (round-robin) identical.
         """
-        from repro.parallel.sharded import ShardedEngine
-
-        self._check_whole_stream(stop, "sharded replay")
-        meta = self.log.meta
-        engine = ShardedEngine(
-            self.build_plan(),
-            partition,
-            batch_size=meta.get("batch_size"),
-            backend=backend,
-            observe=self.observe,
-            representation=meta.get("representation", "tuple"),
-            column_backend=meta.get("column_backend"),
-        )
+        engine = self._sharded(partition, backend, stop, "sharded replay")
         return engine.run(self.sources(0, stop))
 
     def replay_supervised(
@@ -361,20 +341,9 @@ class TimeMachine:
         chaos suite can crash a replay mid-flight and watch the
         log-backed recovery.
         """
-        from repro.parallel.sharded import ShardedEngine
         from repro.resilience.supervisor import Supervisor
 
-        self._check_whole_stream(stop, "supervised replay")
-        meta = self.log.meta
-        engine = ShardedEngine(
-            self.build_plan(),
-            partition,
-            batch_size=meta.get("batch_size"),
-            backend=backend,
-            observe=self.observe,
-            representation=meta.get("representation", "tuple"),
-            column_backend=meta.get("column_backend"),
-        )
+        engine = self._sharded(partition, backend, stop, "supervised replay")
         supervisor = Supervisor(engine, **supervisor_kwargs)
         result = supervisor.run(self.sources(0, stop))
         return result, supervisor.report

@@ -135,36 +135,20 @@ def test_cross_shard_broadcast_sheds_everywhere():
     # same installed advice patterns.
     # (Workers are closed after run; rebuild and drive manually.)
     from repro.parallel.partition import split_epochs
-    from repro.resilience.supervisor import (
-        _InlineWorker,
-        _ShardCore,
-        _fresh_ops,
-    )
 
     engine = _engine("inline")
     st = engine._strategy
     epochs = split_epochs(elements, st.routing)
-    workers = [
-        _InlineWorker(
-            _ShardCore(
-                _fresh_ops(st),
-                st.input_name,
-                st.output_name,
-                engine.batch_size,
-            )
-        )
-        for _ in range(N_SHARDS)
-    ]
+    workers = [engine.make_worker(shard) for shard in range(N_SHARDS)]
     for epoch in epochs:
         for shard, worker in enumerate(workers):
-            worker.start_epoch(epoch.batches[shard], epoch.punct, None)
-            worker.join_epoch(None)
+            worker.call("run_epoch", epoch.batches[shard], epoch.punct)
         exchanged = []
         for worker in workers:
-            exchanged.extend(worker.take_feedback())
+            exchanged.extend(worker.call("take_feedback"))
         if exchanged:
             for worker in workers:
-                worker.apply_feedback(exchanged)
+                worker.call("apply_feedback", exchanged)
     tables = [w.core.engine._advice for w in workers]
     assert any(t is not None and len(t) for t in tables)
     patterns = [

@@ -6,10 +6,10 @@ install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python benchmarks/ledger/run.py --smoke
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done

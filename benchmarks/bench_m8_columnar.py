@@ -7,20 +7,14 @@ Measures tuples/sec of the three execution tiers on vectorizable
 * **row-batch** — micro-batched row dispatch (the M2 tier), at
   ``batch_size`` in {256, 1024, 4096};
 * **columnar** — struct-of-arrays ``ColumnBatch`` dispatch through the
-  operators' ``process_columns`` kernels, same batch sizes; and
-* **columnar+fused** — the same chain collapsed by
-  :func:`repro.columnar.fuse_chain` into one :class:`FusedOperator`
-  (masks and projections composed batch-local, no per-operator queue
-  hops).
+  operators' ``process_columns`` kernels, same batch sizes.
 
-The pure-Python column backend is the headline (the engine must not
-need numpy); when numpy is importable the fused numpy legs are recorded
-next to it.  All tiers are checked element-identical before any number
-is reported — the wider oracle is ``tests/columnar/test_differential.py``.
+All tiers are checked element-identical before any number is reported
+— the wider oracle is ``tests/columnar/test_differential.py``.
 
 Acceptance (the M8 gate, checked at batch_size=4096, the columnar
 operating point): columnar >= 2x row-batch and >= 5x tuple-at-a-time on
-the CDR plan with the pure-Python backend.
+the CDR plan.
 
 Run as a script to record ``BENCH_m8.json`` (add ``--smoke`` for the
 tiny CI variant that checks the gate end-to-end in seconds).
@@ -37,7 +31,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _harness import interleaved_best, write_baseline  # noqa: E402
 
-from repro.columnar import HAVE_NUMPY, Col, fuse_chain
+from repro.columnar import Col
 from repro.core import ListSource, run_plan
 from repro.core.graph import linear_plan
 from repro.operators import AggSpec, Aggregate, Select, WindowedAggregate
@@ -86,9 +80,8 @@ def netflow_ops():
     ]
 
 
-def _plan(make_ops, input_name: str, fused: bool = False):
-    ops = make_ops()
-    return linear_plan(input_name, fuse_chain(ops) if fused else ops)
+def _plan(make_ops, input_name: str):
+    return linear_plan(input_name, make_ops())
 
 
 def _cdr_source(n: int = N) -> ListSource:
@@ -117,8 +110,7 @@ def _tiers(make_ops, input_name, source, batch_size):
     flattering whichever representation runs on the quiet stretch.
     """
     plain = _plan(make_ops, input_name)
-    fused = _plan(make_ops, input_name, fused=True)
-    runs = {
+    return {
         "row_batch": lambda: run_plan(
             plain, [source], batch_size=batch_size
         ),
@@ -127,32 +119,8 @@ def _tiers(make_ops, input_name, source, batch_size):
             [source],
             batch_size=batch_size,
             representation="columnar",
-            column_backend="python",
-        ),
-        "columnar_fused": lambda: run_plan(
-            fused,
-            [source],
-            batch_size=batch_size,
-            representation="columnar",
-            column_backend="python",
         ),
     }
-    if HAVE_NUMPY:
-        runs["columnar_numpy"] = lambda: run_plan(
-            plain,
-            [source],
-            batch_size=batch_size,
-            representation="columnar",
-            column_backend="numpy",
-        )
-        runs["columnar_fused_numpy"] = lambda: run_plan(
-            fused,
-            [source],
-            batch_size=batch_size,
-            representation="columnar",
-            column_backend="numpy",
-        )
-    return runs
 
 
 def _check_tiers_identical(make_ops, input_name, source) -> None:
@@ -216,7 +184,7 @@ def cdr_source():
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("tier", ["row_batch", "columnar", "columnar_fused"])
+@pytest.mark.parametrize("tier", ["row_batch", "columnar"])
 def test_m8_cdr_tier_throughput(benchmark, cdr_source, tier, batch_size):
     make_ops, input_name, _ = WORKLOADS["cdr"]
     run = _tiers(make_ops, input_name, cdr_source, batch_size)[tier]
@@ -240,12 +208,11 @@ def test_m8_columnar_report(report):
     table(
         ["workload", "tier"] + [f"bs={bs} tup/s" for bs in BATCH_SIZES],
         rows,
-        title="M8: columnar execution throughput (python backend"
-        + (" + numpy legs" if HAVE_NUMPY else "; numpy absent") + ")",
+        title="M8: columnar execution throughput",
     )
     emit(
         "(differential suite tests/columnar/test_differential.py proves "
-        "columnar/fused outputs identical across the plan registry)"
+        "columnar outputs identical across the plan registry)"
     )
     vs_rb, vs_tuple = _gate_ratios(scaling)
     emit(
@@ -254,11 +221,11 @@ def test_m8_columnar_report(report):
     )
     assert vs_rb >= 2.0, (
         f"columnar @ bs={GATE_BATCH} is only {vs_rb:.2f}x row-batch on "
-        f"the CDR plan (expected >= 2x, pure-Python backend)"
+        f"the CDR plan (expected >= 2x)"
     )
     assert vs_tuple >= 5.0, (
         f"columnar @ bs={GATE_BATCH} is only {vs_tuple:.2f}x tuple-at-a-"
-        f"time on the CDR plan (expected >= 5x, pure-Python backend)"
+        f"time on the CDR plan (expected >= 5x)"
     )
 
 
@@ -273,8 +240,6 @@ def record_baseline(path: str | Path | None = None, n: int = N) -> dict:
         "n_tuples": n,
         "batch_sizes": BATCH_SIZES,
         "gate_batch_size": GATE_BATCH,
-        "column_backend": "python",
-        "numpy_available": HAVE_NUMPY,
         "m8_tuples_per_sec": scaling,
         "m8_cdr_columnar_vs_row_batch": round(vs_rb, 2),
         "m8_cdr_columnar_vs_tuple": round(vs_tuple, 2),

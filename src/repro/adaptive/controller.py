@@ -121,15 +121,10 @@ class AdaptiveConfig:
     representation_threshold:
         Minimum fraction of chain operators reporting
         ``supports_columns()`` before a columnar switch is proposed.
-    representation_fuse:
-        Also fuse stateless runs when switching to columnar.
     representation_revert_ratio:
         Revert to tuple mode when the measured columnar cost per record
         exceeds this multiple of the pre-switch cost (the measured-rate
         guard against pathological chains).
-    column_backend:
-        Backend pinned by emitted :class:`SetRepresentation` revisions
-        (``None`` keeps the engine's auto choice).
     max_migrations:
         Cap on *structural* migrations per run (``None`` = unlimited).
     feedback_shedding:
@@ -167,9 +162,7 @@ class AdaptiveConfig:
     shed_target_seconds: tuple[float, float] | None = None
     select_representation: bool = False
     representation_threshold: float = 0.5
-    representation_fuse: bool = True
     representation_revert_ratio: float = 1.25
-    column_backend: str | None = None
     max_migrations: int | None = None
     feedback_shedding: bool = False
     feedback_trigger_windows: int = 2
@@ -499,7 +492,7 @@ class AdaptiveController:
                 and cost > cfg.representation_revert_ratio * before
             ):
                 self._repr_blocked = True
-                revision = SetRepresentation("tuple", fuse=False)
+                revision = SetRepresentation("tuple")
                 self._log(
                     self._boundaries,
                     revision,
@@ -516,17 +509,12 @@ class AdaptiveController:
         if not self._may_migrate():
             return []
         self._repr_cost_before = cost if cost > 0.0 else None
-        revision = SetRepresentation(
-            "columnar",
-            column_backend=cfg.column_backend,
-            fuse=cfg.representation_fuse,
-        )
+        revision = SetRepresentation("columnar")
         self._log(
             self._boundaries,
             revision,
             f"{capable}/{len(chain)} chain operators vectorize "
-            f"(>= {cfg.representation_threshold:.0%}): columnar execution"
-            + (" with fusion" if cfg.representation_fuse else ""),
+            f"(>= {cfg.representation_threshold:.0%}): columnar execution",
         )
         return [revision]
 

@@ -30,11 +30,10 @@ Every revision here preserves the output element sequence exactly:
 * :class:`SetBatchSize` changes the engine's micro-batch size, which
   PR 1's differential suite certifies output-invariant for every size.
 * :class:`SetRepresentation` switches the engine between tuple and
-  columnar execution (and optionally fuses/unfuses stateless runs).
-  The columnar kernels are certified element-for-element identical to
-  the tuple path (``tests/columnar``), fusion reuses the *same*
-  operator instances so live state survives, and the flip lands at a
-  boundary — never mid-chunk.
+  columnar execution.  The columnar kernels are certified
+  element-for-element identical to the tuple path
+  (``tests/columnar``), and the flip lands at a boundary — never
+  mid-chunk.
 * :class:`RetuneShedding` moves the overload controller's watermarks —
   load shedding is outside the exact-answer contract by construction
   (it is only issued when a guard is attached).
@@ -140,25 +139,14 @@ class SetBatchSize(Revision):
 class SetRepresentation(Revision):
     """Switch the engine's execution representation for the chain.
 
-    ``representation`` is ``"tuple"`` or ``"columnar"``;
-    ``column_backend`` optionally pins the column storage backend
-    (``None`` keeps the engine's current/auto choice).  ``fuse``
-    additionally compiles stateless runs into
-    :class:`~repro.columnar.fuse.FusedOperator` nodes; ``fuse=False``
-    expands any fused nodes back.  Fusion re-uses the constituent
-    operator *instances*, so learned filter statistics and (for the
-    tuple path) any operator state survive the flip, and
-    :meth:`~repro.core.engine.Engine.migrate_plan` carries every other
-    operator's state by name as usual.
-
-    The revision is structural (the chain may be rebuilt), but
-    :func:`apply_revisions` only migrates when the fuse flip actually
-    changed the chain.
+    ``representation`` is ``"tuple"`` or ``"columnar"``.  The chain
+    and its operator instances are untouched — the same operators run
+    through their other entry point — so no plan migration is needed;
+    the revision still counts as structural (it is logged in the
+    migration history and capped by ``max_migrations``).
     """
 
     representation: str
-    column_backend: str | None = None
-    fuse: bool = False
 
     def __post_init__(self) -> None:
         if self.representation not in ("tuple", "columnar"):
@@ -392,11 +380,8 @@ def apply_to_chain(ops: list, revision: Revision) -> list:
         return out
 
     if isinstance(revision, SetRepresentation):
-        # Lazy import mirrors chain_of(): keep repro.adaptive importable
-        # from worker modules without dragging the columnar package in.
-        from repro.columnar import fuse_chain, unfuse_chain
-
-        return fuse_chain(ops) if revision.fuse else unfuse_chain(ops)
+        # Same operators, other entry point: the chain does not change.
+        return ops
 
     raise PlanError(
         f"apply_to_chain cannot apply {type(revision).__name__} "
@@ -432,16 +417,7 @@ def apply_revisions(
             if engine.guard is not None:
                 engine.guard.apply_retune(revision)
         elif isinstance(revision, SetRepresentation):
-            if revision.column_backend is not None:
-                engine.column_backend = revision.column_backend
             engine.representation = revision.representation
-            if new_chain is not None:
-                revised = apply_to_chain(new_chain, revision)
-                if [id(op) for op in revised] != [
-                    id(op) for op in new_chain
-                ]:
-                    migrated = True
-                new_chain = revised
         else:
             new_chain = apply_to_chain(new_chain, revision)
             migrated = True

@@ -82,7 +82,6 @@ class AdaptiveEngine:
         guard=None,
         observe=True,
         representation: str = "tuple",
-        column_backend: str | None = None,
         recorder=None,
     ) -> None:
         if controller is not None and config is not None:
@@ -95,7 +94,6 @@ class AdaptiveEngine:
             guard=guard,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
             recorder=recorder,
         )
         self._recorder = recorder
@@ -187,7 +185,6 @@ class AdaptiveShardedEngine:
         backend: str = "thread",
         observe=True,
         representation: str = "tuple",
-        column_backend: str | None = None,
     ) -> None:
         if controller is not None and config is not None:
             raise PlanError(
@@ -200,7 +197,6 @@ class AdaptiveShardedEngine:
             backend=backend,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
         )
         self.controller = controller or AdaptiveController(config)
 
@@ -286,7 +282,6 @@ def run_adaptive(
     observe=True,
     guard=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
 ) -> tuple[RunResult, list]:
     """One-shot convenience: run ``plan`` adaptively, return
     ``(result, migration log)``.
@@ -308,7 +303,6 @@ def run_adaptive(
             backend=backend,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
         )
         return sharded.run(sources), sharded.migrations
     adaptive = AdaptiveEngine(
@@ -318,6 +312,5 @@ def run_adaptive(
         guard=guard,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
     )
     return adaptive.run(sources), adaptive.migrations

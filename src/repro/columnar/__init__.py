@@ -6,25 +6,21 @@ The engine runs plans on three tiers, selectable per engine (and, via
 1. **tuple** — record-at-a-time dispatch (the differential oracle);
 2. **row batch** — micro-batched ``process_batch`` (PR 1);
 3. **columnar** — struct-of-arrays :class:`ColumnBatch` batches flowing
-   through vectorized ``process_columns`` kernels, optionally with
-   adjacent stateless operators fused (:func:`fuse_chain`) into a
-   single mask+transform sweep.
+   through vectorized ``process_columns`` kernels.
 
 All three produce bit-identical output streams; the columnar tier
 auto-converts at the boundary between columnar-capable and tuple-only
 operators, so mixed plans run unmodified.
 """
 
-from repro.columnar.batch import BACKENDS, ColumnBatch, HAVE_NUMPY, as_pylist
+from repro.columnar.batch import BACKENDS, ColumnBatch
 from repro.columnar.expr import (
     Col,
     ColumnMapFn,
     Expr,
     Lit,
     column_of,
-    mask_count,
 )
-from repro.columnar.fuse import FusedOperator, fusable, fuse_chain, unfuse_chain
 from repro.errors import ColumnError, ColumnUnavailable
 
 __all__ = [
@@ -35,13 +31,6 @@ __all__ = [
     "ColumnMapFn",
     "ColumnUnavailable",
     "Expr",
-    "FusedOperator",
-    "HAVE_NUMPY",
     "Lit",
-    "as_pylist",
     "column_of",
-    "fusable",
-    "fuse_chain",
-    "mask_count",
-    "unfuse_chain",
 ]

@@ -10,26 +10,13 @@ materialized columns but always retain a *stamp row* per element, so
 ``ts``/``seq``/``size`` survive any number of columnar hops and
 :meth:`to_rows` rebuilds records bit-identical to the tuple path.
 
-Backends
---------
+Storage
+-------
 
-``"python"``
-    Columns are plain lists.  This is the fallback that must always
-    work — and the backend the M8 speedup gate is measured against.
-``"array"``
-    Homogeneous ``int``/``float`` columns are packed into
-    ``array.array('q'/'d')``; anything else stays a list.
-``"numpy"``
-    Homogeneous numeric/bool columns become ``numpy.ndarray``; masks
-    select with boolean indexing.  Optional: guarded by
-    :data:`HAVE_NUMPY` (install with ``repro[numpy]``).
-
-Packing is type-strict: a column is only packed when every value has
-the exact same native type (``bool`` is never packed as an integer).
-Mixed ``int``/``float`` columns stay lists, because ``array``/NumPy
-would silently coerce ``2`` to ``2.0`` and the differential oracle —
-and the ``repr``-sorted group emission order of the aggregates — would
-observe the difference.
+Every column is a plain ``list`` of the records' own Python values, so
+group keys, ``repr``-sorted emission order and rebuilt records match
+the tuple path exactly.  :data:`BACKENDS` names that one storage
+(``"python"``).
 
 Null masks
 ----------
@@ -45,78 +32,16 @@ mask so round trips keep missing fields missing.
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress as _itcompress
 from typing import Iterable, Sequence
 
 from repro.core.tuples import Record
 from repro.errors import ColumnError, ColumnUnavailable
 
-try:  # pragma: no cover - import guard exercised via both CI legs
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
-
-__all__ = ["ColumnBatch", "HAVE_NUMPY", "BACKENDS", "as_pylist"]
+__all__ = ["ColumnBatch", "BACKENDS"]
 
 #: Recognized column storage backends.
-BACKENDS = ("python", "array", "numpy")
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ColumnError(
-            f"unknown column backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "numpy" and not HAVE_NUMPY:
-        raise ColumnError(
-            "column backend 'numpy' requires numpy (pip install repro[numpy])"
-        )
-    return backend
-
-
-def as_pylist(column) -> list:
-    """``column`` as a list of *native* Python values.
-
-    ``ndarray``/``array.array`` convert via ``tolist()`` (exact for
-    int64/float64); lists pass through unchanged.  Kernels feeding
-    values into group keys or ``repr``-sorted emission must use this —
-    a ``numpy.float64`` reprs differently from the ``float`` the tuple
-    path would have carried.
-    """
-    if type(column) is list:
-        return column
-    return column.tolist()
-
-
-def _all_of_type(values: list, t: type) -> bool:
-    for v in values:
-        if type(v) is not t:
-            return False
-    return True
-
-
-def _pack(values: list, backend: str):
-    """Pack a hole-free extracted column per the backend (or keep list)."""
-    if backend == "python" or not values:
-        return values
-    t = type(values[0])
-    if backend == "numpy":
-        if t in (int, float, bool) and _all_of_type(values, t):
-            return _np.asarray(values)
-        return values
-    # backend == "array"
-    if t is int and _all_of_type(values, t):
-        try:
-            return array("q", values)
-        except OverflowError:
-            return values
-    if t is float and _all_of_type(values, t):
-        return array("d", values)
-    return values
+BACKENDS = ("python",)
 
 
 class ColumnBatch:
@@ -137,7 +62,7 @@ class ColumnBatch:
     """
 
     __slots__ = ("_rows", "_stamp_rows", "_columns", "_masks", "_ts",
-                 "length", "backend")
+                 "length")
 
     def __init__(self) -> None:  # use the named constructors
         raise ColumnError(
@@ -145,7 +70,7 @@ class ColumnBatch:
         )
 
     @classmethod
-    def _new(cls, rows, stamp_rows, columns, masks, backend) -> "ColumnBatch":
+    def _new(cls, rows, stamp_rows, columns, masks) -> "ColumnBatch":
         self = object.__new__(cls)
         self._rows = rows
         self._stamp_rows = stamp_rows
@@ -153,7 +78,6 @@ class ColumnBatch:
         self._masks = masks
         self._ts = None
         self.length = len(stamp_rows)
-        self.backend = backend
         return self
 
     @classmethod
@@ -161,8 +85,13 @@ class ColumnBatch:
         cls, rows: Sequence[Record], backend: str = "python"
     ) -> "ColumnBatch":
         """Wrap ``rows`` (records only, no punctuations) lazily."""
+        if backend not in BACKENDS:
+            raise ColumnError(
+                f"unknown column backend {backend!r}; "
+                f"expected one of {BACKENDS}"
+            )
         rows = rows if type(rows) is list else list(rows)
-        return cls._new(rows, rows, {}, {}, _check_backend(backend))
+        return cls._new(rows, rows, {}, {})
 
     @property
     def row_backed(self) -> bool:
@@ -189,9 +118,7 @@ class ColumnBatch:
         except KeyError:
             values = [r.values.get(name) for r in rows]
             mask = [name in r.values for r in rows]
-        self._columns[name] = values if mask is not None else _pack(
-            values, self.backend
-        )
+        self._columns[name] = values
         self._masks[name] = mask
 
     def column(self, name: str):
@@ -208,10 +135,6 @@ class ColumnBatch:
                 f"column {name!r} has missing values (null mask)"
             )
         return self._columns[name]
-
-    def pylist(self, name: str) -> list:
-        """:meth:`column` as native Python values (see :func:`as_pylist`)."""
-        return as_pylist(self.column(name))
 
     def raw_column(self, name: str) -> tuple[list, list | None]:
         """``(values, validity_mask)`` — tolerates null masks.
@@ -254,43 +177,30 @@ class ColumnBatch:
                 )
         return ColumnBatch._new(
             None, self._stamp_rows, dict(columns),
-            dict(masks) if masks else {}, self.backend,
+            dict(masks) if masks else {},
         )
 
     def compress(self, mask) -> "ColumnBatch":
         """Keep exactly the elements whose ``mask`` entry is truthy.
 
-        ``mask`` may be any per-element sequence — a list of bools, raw
-        predicate results (truthiness decides, as in the tuple path), or
-        a NumPy boolean array.
+        ``mask`` may be any per-element sequence — a list of bools or
+        raw predicate results (truthiness decides, as in the tuple path).
         """
-        if _np is not None and isinstance(mask, _np.ndarray):
-            np_mask = mask if mask.dtype == bool else mask.astype(bool)
-        else:
-            np_mask = None
-        it_mask = np_mask if np_mask is not None else mask
         if self._rows is not None:
-            rows = list(_itcompress(self._rows, it_mask))
-            return ColumnBatch._new(rows, rows, {}, {}, self.backend)
-        stamp = list(_itcompress(self._stamp_rows, it_mask))
+            rows = list(_itcompress(self._rows, mask))
+            return ColumnBatch._new(rows, rows, {}, {})
+        stamp = list(_itcompress(self._stamp_rows, mask))
         columns: dict = {}
         masks: dict = {}
         for name, col in self._columns.items():
-            if _np is not None and isinstance(col, _np.ndarray):
-                if np_mask is None:
-                    np_mask = _np.fromiter(
-                        (bool(v) for v in mask), dtype=bool, count=self.length
-                    )
-                columns[name] = col[np_mask]
-            else:
-                columns[name] = list(_itcompress(col, it_mask))
+            columns[name] = list(_itcompress(col, mask))
             valid = self._masks.get(name)
             if valid is not None:
-                valid = list(_itcompress(valid, it_mask))
+                valid = list(_itcompress(valid, mask))
                 if all(valid):
                     valid = None
             masks[name] = valid
-        return ColumnBatch._new(None, stamp, columns, masks, self.backend)
+        return ColumnBatch._new(None, stamp, columns, masks)
 
     def materialize(self) -> "ColumnBatch":
         """Force full columnar form (every field extracted, masks kept).
@@ -313,7 +223,6 @@ class ColumnBatch:
             None, self._stamp_rows,
             {n: self._columns[n] for n in names},
             {n: self._masks[n] for n in names if self._masks[n] is not None},
-            self.backend,
         )
 
     # -- conversion ------------------------------------------------------
@@ -323,14 +232,14 @@ class ColumnBatch:
 
         Row-backed batches return the original record list (treat it as
         read-only); columnar batches rebuild records from the columns
-        (native values) and the retained stamps, omitting fields whose
+        and the retained stamps, omitting fields whose
         validity mask is ``False``.
         """
         rows = self._rows
         if rows is not None:
             return rows
         names = list(self._columns)
-        native = [as_pylist(self._columns[n]) for n in names]
+        cols = [self._columns[n] for n in names]
         holed = [
             (j, self._masks[names[j]])
             for j in range(len(names))
@@ -339,7 +248,7 @@ class ColumnBatch:
         out: list[Record] = []
         rng = range(len(names))
         for i, stamp in enumerate(self._stamp_rows):
-            values = {names[j]: native[j][i] for j in rng}
+            values = {names[j]: cols[j][i] for j in rng}
             for j, valid in holed:
                 if not valid[i]:
                     del values[names[j]]
@@ -355,5 +264,5 @@ class ColumnBatch:
         mode = "rows" if self._rows is not None else "columns"
         return (
             f"ColumnBatch({mode}, n={self.length}, "
-            f"fields={list(self._columns)}, backend={self.backend!r})"
+            f"fields={list(self._columns)})"
         )

@@ -11,8 +11,7 @@ expression AST whose nodes are **both**:
   lambda-built plan; and
 * column programs — ``expr.values(batch)`` / ``expr.mask(batch)``
   evaluate one whole :class:`~repro.columnar.batch.ColumnBatch` per
-  call, vectorizing over NumPy arrays when the backend provides them
-  and falling back to list comprehensions otherwise.
+  call, one list comprehension per node.
 
 Build them from :class:`Col` and :class:`Lit`::
 
@@ -31,57 +30,42 @@ from __future__ import annotations
 
 import operator as _op
 
-from repro.columnar.batch import ColumnBatch, as_pylist
+from repro.columnar.batch import ColumnBatch
+from repro.errors import ColumnUnavailable
 
-try:  # pragma: no cover - mirrored guard from batch.py
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = [
-    "Expr", "Col", "Lit", "ColumnMapFn", "column_of", "mask_count",
-]
+__all__ = ["Expr", "Col", "Lit", "ColumnMapFn", "column_of"]
 
 
 def column_of(value, batch: ColumnBatch) -> list:
     """Normalize a ``values()`` result to a full-length column."""
     if isinstance(value, (list, tuple)):
         return list(value)
-    if _np is not None and isinstance(value, _np.ndarray):
-        return value
-    if hasattr(value, "tolist") and hasattr(value, "__len__"):  # array.array
-        return value
     return [value] * batch.length
 
 
-def mask_count(mask) -> int:
-    """Number of truthy entries in a mask (any backend)."""
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return int(_np.count_nonzero(mask))
-    n = 0
-    for v in mask:
-        if v:
-            n += 1
-    return n
+def _right_mask(expr: "Expr", batch: ColumnBatch):
+    """The right operand's mask of a short-circuiting ``&`` / ``|``.
 
-
-def _is_ndarray(x) -> bool:
-    return _np is not None and isinstance(x, _np.ndarray)
-
-
-def _is_column(x) -> bool:
-    """True for column containers (never for scalar str/bytes/etc.)."""
-    return (
-        type(x) is list
-        or _is_ndarray(x)
-        or (hasattr(x, "tolist") and hasattr(x, "__len__"))
-    )
+    Row-at-a-time, the right operand never sees the records the left
+    one already decided (``d != 0 & n / d > 1``); a column program
+    evaluates it over all of them.  If it raises there, only the row
+    path can tell whether the tuple engine would have raised too, so
+    the batch is sent down it.
+    """
+    try:
+        return expr.mask(batch)
+    except ColumnUnavailable:
+        raise
+    except Exception as exc:
+        raise ColumnUnavailable(
+            f"right operand {expr!r} raised {exc!r} over the whole batch"
+        ) from exc
 
 
 def _zip_apply(fn, left, right, batch: ColumnBatch) -> list:
     """Elementwise ``fn`` over scalar-or-column operands, as a list."""
-    lseq = _is_column(left)
-    rseq = _is_column(right)
+    lseq = type(left) is list
+    rseq = type(right) is list
     if lseq and rseq:
         return [fn(a, b) for a, b in zip(left, right)]
     if lseq:
@@ -211,7 +195,7 @@ class Lit(Expr):
 
 
 class BinOp(Expr):
-    """Elementwise binary op; vectorizes when an operand is an ndarray."""
+    """Elementwise binary op (a scalar when both operands are)."""
 
     __slots__ = ("fn", "left", "right", "symbol")
 
@@ -227,11 +211,7 @@ class BinOp(Expr):
     def values(self, batch: ColumnBatch):
         lv = self.left.values(batch)
         rv = self.right.values(batch)
-        if _is_ndarray(lv) or _is_ndarray(rv):
-            return self.fn(lv, rv)
-        lseq = _is_column(lv)
-        rseq = _is_column(rv)
-        if not lseq and not rseq:
+        if type(lv) is not list and type(rv) is not list:
             return self.fn(lv, rv)  # constant folds to a scalar
         return _zip_apply(self.fn, lv, rv, batch)
 
@@ -252,7 +232,9 @@ class And(Expr):
         return self.left(record) and self.right(record)
 
     def values(self, batch: ColumnBatch):
-        return mask_and(self.left.mask(batch), self.right.mask(batch), batch)
+        lm = column_of(self.left.mask(batch), batch)
+        rm = column_of(_right_mask(self.right, batch), batch)
+        return [a and b for a, b in zip(lm, rm)]
 
     __hash__ = object.__hash__
 
@@ -272,9 +254,7 @@ class Or(Expr):
 
     def values(self, batch: ColumnBatch):
         lm = column_of(self.left.mask(batch), batch)
-        rm = column_of(self.right.mask(batch), batch)
-        if _is_ndarray(lm) or _is_ndarray(rm):
-            return _np.logical_or(lm, rm)
+        rm = column_of(_right_mask(self.right, batch), batch)
         return [a or b for a, b in zip(lm, rm)]
 
     __hash__ = object.__hash__
@@ -294,23 +274,12 @@ class Not(Expr):
 
     def values(self, batch: ColumnBatch):
         m = column_of(self.operand.mask(batch), batch)
-        if _is_ndarray(m):
-            return _np.logical_not(m)
         return [not v for v in m]
 
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"~{self.operand!r}"
-
-
-def mask_and(left, right, batch: ColumnBatch):
-    """Conjunction of two masks (used by And and by fused Selects)."""
-    lm = column_of(left, batch)
-    rm = column_of(right, batch)
-    if _is_ndarray(lm) or _is_ndarray(rm):
-        return _np.logical_and(lm, rm)
-    return [a and b for a, b in zip(lm, rm)]
 
 
 class ColumnMapFn:

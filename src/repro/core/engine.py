@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.columnar.batch import BACKENDS, ColumnBatch, HAVE_NUMPY
+from repro.columnar.batch import BACKENDS, ColumnBatch
 from repro.core.graph import Plan
 from repro.core.metrics import MetricsRegistry
 from repro.core.stream import Source, merge_sources
@@ -144,11 +144,15 @@ class Engine:
                 )
             if batch_size < 1:
                 raise PlanError(f"batch_size must be >= 1; got {batch_size}")
+        # There is one column storage; the keyword only names it.
+        if column_backend is not None and column_backend not in BACKENDS:
+            raise PlanError(
+                f"column_backend must be one of {BACKENDS} or None; "
+                f"got {column_backend!r}"
+            )
         self.plan = plan
         self.batch_size = batch_size
         self._columnar = False
-        self._column_backend: str | None = None
-        self._backend_eff = "numpy" if HAVE_NUMPY else "python"
         #: Batch representation on the micro-batched path: ``"tuple"``
         #: dispatches record lists through ``process_batch``;
         #: ``"columnar"`` converts record runs to
@@ -156,9 +160,6 @@ class Engine:
         #: columnar-capable operators through ``process_columns``
         #: (tuple-only operators transparently get rows back).
         self.representation = representation
-        #: Column storage backend (``None`` = auto: numpy when
-        #: installed, else pure-python lists).
-        self.column_backend = column_backend
         #: Optional ingress admission control (duck-typed to
         #: :class:`repro.resilience.OverloadGuard`): consulted for every
         #: arriving element; elements it refuses are counted as shed
@@ -206,26 +207,6 @@ class Engine:
                 "set batch_size (e.g. 'auto')"
             )
         self._columnar = value == "columnar"
-
-    @property
-    def column_backend(self) -> str | None:
-        return self._column_backend
-
-    @column_backend.setter
-    def column_backend(self, value: str | None) -> None:
-        if value is not None:
-            if value not in BACKENDS:
-                raise PlanError(
-                    f"column_backend must be one of {BACKENDS} or None; "
-                    f"got {value!r}"
-                )
-            if value == "numpy" and not HAVE_NUMPY:
-                raise PlanError(
-                    "column_backend 'numpy' requires numpy "
-                    "(install repro[numpy])"
-                )
-        self._column_backend = value
-        self._backend_eff = value or ("numpy" if HAVE_NUMPY else "python")
 
     def run(self, sources: Sequence[Source] | Mapping[str, Source]) -> RunResult:
         """Execute the plan over ``sources`` and return all outputs.
@@ -284,45 +265,39 @@ class Engine:
         """Drain ``merged`` in chunks of consecutive same-input elements."""
         batch_size = self.batch_size
         assert batch_size is not None
-        inputs = self.plan.inputs
-        channel = self._feedback
-        observing = self._observer is not None
         pending: list[Element] = []
         pending_input: str | None = None
         for input_name, element in merged:
             if pending and (
                 input_name != pending_input or len(pending) >= batch_size
             ):
-                chunk = self._shed_chunk(pending)
-                for consumer, port in inputs[pending_input]:
-                    self._dispatch_batch(consumer, chunk, port, outputs)
-                if observing:
-                    self._observe_chunk(pending[-1])
-                if channel is not None and channel.pending:
-                    self._process_feedback()
+                self._close_chunk(pending_input, pending, outputs)
                 pending = []
             pending_input = input_name
             pending.append(element)
             if isinstance(element, Punctuation):
                 # Close the chunk at the punctuation so downstream
                 # flushes keep their tuple-at-a-time positions.
-                chunk = self._shed_chunk(pending)
-                for consumer, port in inputs[pending_input]:
-                    self._dispatch_batch(consumer, chunk, port, outputs)
-                if observing:
-                    self._observe_chunk(element)
-                if channel is not None and channel.pending:
-                    self._process_feedback()
+                self._close_chunk(pending_input, pending, outputs)
                 pending = []
         if pending:
-            assert pending_input is not None
-            chunk = self._shed_chunk(pending)
-            for consumer, port in inputs[pending_input]:
-                self._dispatch_batch(consumer, chunk, port, outputs)
-            if observing:
-                self._observe_chunk(pending[-1])
-            if channel is not None and channel.pending:
-                self._process_feedback()
+            self._close_chunk(pending_input, pending, outputs)
+
+    def _close_chunk(
+        self,
+        input_name: str,
+        elements: Sequence[Element],
+        outputs: dict[str, list[Element]],
+    ) -> None:
+        """Shed, dispatch, observe and drain feedback for one ingress
+        chunk (already past any guard)."""
+        chunk = self._shed_chunk(elements)
+        for consumer, port in self.plan.inputs[input_name]:
+            self._dispatch_batch(consumer, chunk, port, outputs)
+        if self._observer is not None and chunk:
+            self._observe_chunk(chunk[-1])
+        if self._feedback is not None and self._feedback.pending:
+            self._process_feedback()
 
     def _run_sliced(
         self,
@@ -344,7 +319,6 @@ class Engine:
         assert batch_size is not None
         consumers = self.plan.inputs[input_name]
         observing = self._observer is not None
-        backend = self._backend_eff
         n = len(elements)
         puncts = iter(punct_positions)
         next_p = next(puncts, n)
@@ -364,11 +338,8 @@ class Engine:
                 if consumer.supports_columns():
                     run = chunk[:-1] if punct_last else chunk
                     if run:
-                        self._dispatch_columns(
-                            consumer,
-                            ColumnBatch.from_rows(run, backend),
-                            port,
-                            outputs,
+                        self._dispatch_batch(
+                            consumer, ColumnBatch.from_rows(run), port, outputs
                         )
                     if punct_last:
                         self._dispatch(consumer, chunk[-1], port, outputs)
@@ -426,10 +397,6 @@ class Engine:
             self.metrics.operator_kinds[op.name] = getattr(
                 op, "kind", type(op).__name__.lower()
             )
-            for sub in getattr(op, "constituents", ()):
-                self.metrics.operator_kinds[sub.name] = getattr(
-                    sub, "kind", type(sub).__name__.lower()
-                )
         if self.observe_config is not None:
             self._observer = Observer(self.observe_config, self.metrics)
             self._observer.start_run()
@@ -646,18 +613,12 @@ class Engine:
     def _feed_chunk(
         self, input_name: str, elements: Sequence[Element]
     ) -> None:
-        """Admit, shed, dispatch, and observe one ingress chunk."""
+        """Admit one ingress chunk through the guard, then close it."""
         if self.guard is not None:
             elements = [
                 el for el in elements if self.guard.admit(input_name, el)
             ]
-        elements = list(self._shed_chunk(elements))
-        for consumer, port in self.plan.inputs[input_name]:
-            self._dispatch_batch(consumer, elements, port, self._outputs)
-        if self._observer is not None and elements:
-            self._observe_chunk(elements[-1])
-        if self._feedback is not None and self._feedback.pending:
-            self._process_feedback()
+        self._close_chunk(input_name, elements, self._outputs)
 
     def peek_output(self, name: str) -> list[Element]:
         """The elements accumulated so far on output ``name``.
@@ -772,10 +733,6 @@ class Engine:
             self.metrics.operator_kinds[op.name] = getattr(
                 op, "kind", type(op).__name__.lower()
             )
-            for sub in getattr(op, "constituents", ()):
-                self.metrics.operator_kinds[sub.name] = getattr(
-                    sub, "kind", type(sub).__name__.lower()
-                )
         self.plan = new_plan
         if allow_io_changes:
             old_outputs = self._outputs
@@ -925,150 +882,67 @@ class Engine:
     def _dispatch_batch(
         self,
         operator,
-        elements: Sequence[Element],
+        batch: Sequence[Element] | ColumnBatch,
         port: int,
         outputs: dict[str, list[Element]],
     ) -> None:
-        if not elements:
+        """Dispatch one batch — a row list or a :class:`ColumnBatch` —
+        to ``operator`` and propagate what it produces."""
+        if not batch:
             return
-        if self._columnar and operator.supports_columns():
+        columns = isinstance(batch, ColumnBatch)
+        if not columns and self._columnar and operator.supports_columns():
             # Columnar tier: convert maximal record runs to column
             # batches; punctuations dispatch individually in between,
             # preserving exact stream positions.
             run: list[Element] = []
-            for el in elements:
+            for el in batch:
                 if isinstance(el, Punctuation):
                     if run:
-                        self._dispatch_columns(
-                            operator,
-                            ColumnBatch.from_rows(run, self._backend_eff),
-                            port,
-                            outputs,
+                        self._dispatch_batch(
+                            operator, ColumnBatch.from_rows(run), port, outputs
                         )
                         run = []
                     self._dispatch(operator, el, port, outputs)
                 else:
                     run.append(el)
             if run:
-                self._dispatch_columns(
-                    operator,
-                    ColumnBatch.from_rows(run, self._backend_eff),
-                    port,
-                    outputs,
+                self._dispatch_batch(
+                    operator, ColumnBatch.from_rows(run), port, outputs
                 )
             return
         m = self.metrics.for_operator(operator.name)
         n_punct = 0
-        for el in elements:
-            if isinstance(el, Punctuation):
-                n_punct += 1
-        m.records_in += len(elements) - n_punct
+        if columns:
+            process = operator.process_columns
+        else:
+            process = operator.process_batch
+            for el in batch:
+                if isinstance(el, Punctuation):
+                    n_punct += 1
+        m.records_in += len(batch) - n_punct
         m.punctuations_in += n_punct
         m.invocations += 1
         m.batches_in += 1
-        m.busy_time += operator.cost_per_tuple * len(elements)
-        settling = getattr(operator, "drain_attribution", None) is not None
-        if settling:
-            wall0 = m.wall_time
-            timed0 = m.timed_invocations
+        m.busy_time += operator.cost_per_tuple * len(batch)
         obs = self._observer
         if obs is None:
-            produced = operator.process_batch(elements, port)
+            produced = process(batch, port)
         else:
             m.sample_tick -= 1
             if m.sample_tick <= 0:
-                produced = obs.timed_process_batch(
-                    operator, elements, port, m
-                )
+                produced = obs.timed_batch(process, operator, batch, port, m)
             else:
-                produced = operator.process_batch(elements, port)
-        for out in produced:
-            if isinstance(out, Record):
-                m.records_out += 1
-            else:
-                m.punctuations_out += 1
-        if settling:
-            self._settle_constituents(operator, m, wall0, timed0)
-        self._propagate_batch(operator, produced, outputs)
-
-    def _dispatch_columns(
-        self,
-        operator,
-        batch: ColumnBatch,
-        port: int,
-        outputs: dict[str, list[Element]],
-    ) -> None:
-        if batch.length == 0:
-            return
-        m = self.metrics.for_operator(operator.name)
-        m.records_in += batch.length
-        m.invocations += 1
-        m.batches_in += 1
-        m.busy_time += operator.cost_per_tuple * batch.length
-        settling = getattr(operator, "drain_attribution", None) is not None
-        if settling:
-            wall0 = m.wall_time
-            timed0 = m.timed_invocations
-        obs = self._observer
-        if obs is None:
-            produced = operator.process_columns(batch, port)
-        else:
-            m.sample_tick -= 1
-            if m.sample_tick <= 0:
-                produced = obs.timed_process_columns(operator, batch, port, m)
-            else:
-                produced = operator.process_columns(batch, port)
+                produced = process(batch, port)
         if isinstance(produced, ColumnBatch):
             m.records_out += produced.length
-            if settling:
-                self._settle_constituents(operator, m, wall0, timed0)
-            self._propagate_columns(operator, produced, outputs)
         else:
             for out in produced:
                 if isinstance(out, Record):
                     m.records_out += 1
                 else:
                     m.punctuations_out += 1
-            if settling:
-                self._settle_constituents(operator, m, wall0, timed0)
-            self._propagate_batch(operator, produced, outputs)
-
-    def _settle_constituents(self, operator, m, wall0, timed0) -> None:
-        """Fold a fused operator's per-stage tallies into the metrics of
-        its constituents, so observability and the adaptive controller
-        keep seeing the individual operators.
-
-        The fused node's sampled ``wall_time`` since ``wall0`` is
-        distributed across constituents pro rata by records_in, and the
-        fused node's own wall/timed counters are rolled back so chain
-        cost totals (``AdaptiveController._record_cost``) don't count
-        the same measured time twice.
-        """
-        tallies = operator.drain_attribution()
-        if not tallies:
-            return
-        costs = {op.name: op.cost_per_tuple for op in operator.constituents}
-        wall_delta = m.wall_time - wall0
-        timed_delta = m.timed_invocations - timed0
-        total_in = 0
-        for t in tallies.values():
-            total_in += t[0]
-        for name, t in tallies.items():
-            cm = self.metrics.for_operator(name)
-            cm.records_in += t[0]
-            cm.records_out += t[1]
-            cm.punctuations_in += t[2]
-            cm.punctuations_out += t[3]
-            cm.invocations += t[4]
-            cm.batches_in += t[5]
-            cm.busy_time += costs.get(name, 0.0) * (t[0] + t[2])
-            if timed_delta > 0:
-                cm.timed_invocations += timed_delta
-                if total_in > 0:
-                    cm.wall_time += wall_delta * (t[0] / total_in)
-        if timed_delta > 0:
-            m.wall_time = wall0
-            m.timed_invocations = timed0
+        self._propagate_batch(operator, produced, outputs)
 
     def _propagate(
         self, operator, produced: list[Element], outputs: dict[str, list[Element]]
@@ -1083,51 +957,37 @@ class Engine:
                 self._dispatch(consumer, out, port, outputs)
 
     def _propagate_batch(
-        self, operator, produced: list[Element], outputs: dict[str, list[Element]]
+        self,
+        operator,
+        produced: list[Element] | ColumnBatch,
+        outputs: dict[str, list[Element]],
     ) -> None:
         # Whole-batch propagation preserves tuple-at-a-time output order:
         # each consumer already received every produced element (in
         # order) before the next consumer in the per-element path too.
-        if not produced:
-            return
-        for name in self.plan.output_names_for(operator):
-            outputs[name].extend(produced)
-        for consumer, port in self.plan.successors(operator):
-            self._dispatch_batch(consumer, produced, port, outputs)
-
-    def _propagate_columns(
-        self, operator, batch: ColumnBatch, outputs: dict[str, list[Element]]
-    ) -> None:
-        # Column batches flow onward in columnar form to capable
+        # A column batch flows onward in columnar form to capable
         # consumers; rows are rebuilt once at the first boundary that
         # needs them (plan outputs or tuple-only consumers).
-        if batch.length == 0:
+        if not produced:
             return
-        rows: list[Element] | None = None
+        columns = isinstance(produced, ColumnBatch)
+        rows = None if columns else produced
         for name in self.plan.output_names_for(operator):
             if rows is None:
-                rows = batch.to_rows()
+                rows = produced.to_rows()
             outputs[name].extend(rows)
         for consumer, port in self.plan.successors(operator):
-            if consumer.supports_columns():
-                self._dispatch_columns(consumer, batch, port, outputs)
+            if columns and consumer.supports_columns():
+                self._dispatch_batch(consumer, produced, port, outputs)
             else:
                 if rows is None:
-                    rows = batch.to_rows()
+                    rows = produced.to_rows()
                 self._dispatch_batch(consumer, rows, port, outputs)
 
     def _flush_all(self, outputs: dict[str, list[Element]]) -> None:
         batched = self.batch_size is not None
         for operator in self.plan.topological_order():
             produced = operator.flush()
-            if getattr(operator, "drain_attribution", None) is not None:
-                # Settle tallies left by tuple-path dispatches (and the
-                # flush itself); no timed window spans the flush, so
-                # only the counts are distributed.
-                m = self.metrics.for_operator(operator.name)
-                self._settle_constituents(
-                    operator, m, m.wall_time, m.timed_invocations
-                )
             if produced:
                 m = self.metrics.for_operator(operator.name)
                 for out in produced:

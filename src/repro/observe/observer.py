@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Sequence
 
 from repro.core.metrics import (
     BATCH_BUCKETS,
@@ -123,7 +122,7 @@ class Observer:
     The engine decrements each operator's
     :attr:`~repro.core.metrics.OperatorMetrics.sample_tick` inline per
     dispatch and calls :meth:`timed_process` /
-    :meth:`timed_process_batch` only when it hits zero — everything
+    :meth:`timed_batch` only when it hits zero — everything
     else here is off the per-element path.
     """
 
@@ -176,35 +175,22 @@ class Observer:
         self._charge(operator, m, dt, 1)
         return produced
 
-    def timed_process_batch(
-        self, operator, elements: Sequence, port: int, m: OperatorMetrics
-    ) -> list:
-        """Time one micro-batch dispatch."""
-        m.sample_tick = self.sampling
-        t0 = perf_counter()
-        produced = operator.process_batch(elements, port)
-        dt = perf_counter() - t0
-        n = len(elements)
-        self._charge(operator, m, dt, n)
-        self.registry.histogram(
-            f"op.{operator.name}.batch_size", self.config.batch_buckets
-        ).observe(n, weight=self.sampling)
-        return produced
-
-    def timed_process_columns(
-        self, operator, batch, port: int, m: OperatorMetrics
+    def timed_batch(
+        self, process, operator, batch, port: int, m: OperatorMetrics
     ) -> object:
-        """Time one columnar-batch dispatch.
+        """Time one batch dispatch through ``process`` — the operator's
+        ``process_batch`` (row list) or ``process_columns``
+        (``ColumnBatch``).
 
-        Same accounting as :meth:`timed_process_batch` — the batch-size
-        histogram counts *records*, so tuple, row-batch, and columnar
-        tiers stay comparable in the exporters.
+        The batch-size histogram counts *elements* either way, so
+        tuple, row-batch, and columnar tiers stay comparable in the
+        exporters.
         """
         m.sample_tick = self.sampling
         t0 = perf_counter()
-        produced = operator.process_columns(batch, port)
+        produced = process(batch, port)
         dt = perf_counter() - t0
-        n = batch.length
+        n = len(batch)
         self._charge(operator, m, dt, n)
         self.registry.histogram(
             f"op.{operator.name}.batch_size", self.config.batch_buckets

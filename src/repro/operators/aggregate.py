@@ -113,28 +113,21 @@ def _columnar_capable(group_by, aggregates) -> bool:
 
 
 def _group_columns(group_by, batch) -> list[list]:
-    """One native-valued column per grouping key (may raise
-    :class:`~repro.errors.ColumnUnavailable`).
-
-    Values must be *native* Python (``pylist``): group keys feed dict
-    lookups and the ``repr``-sorted emission order, both of which must
-    match the tuple path exactly.
-    """
-    from repro.columnar.batch import as_pylist
+    """One column per grouping key (may raise
+    :class:`~repro.errors.ColumnUnavailable`)."""
     from repro.columnar.expr import column_of
 
     cols = []
     for _name, fn in group_by:
         if isinstance(fn, AttrGetter):
-            cols.append(batch.pylist(fn.attr))
+            cols.append(batch.column(fn.attr))
         else:
-            cols.append(as_pylist(column_of(fn.values(batch), batch)))
+            cols.append(column_of(fn.values(batch), batch))
     return cols
 
 
 def _spec_columns(aggregates, batch) -> list[list | None]:
-    """One native-valued input column per agg spec (``None`` ≙ count)."""
-    from repro.columnar.batch import as_pylist
+    """One input column per agg spec (``None`` ≙ count)."""
     from repro.columnar.expr import column_of
 
     cols: list[list | None] = []
@@ -143,9 +136,9 @@ def _spec_columns(aggregates, batch) -> list[list | None]:
         if inp is None:
             cols.append(None)
         elif isinstance(inp, str):
-            cols.append(batch.pylist(inp))
+            cols.append(batch.column(inp))
         else:
-            cols.append(as_pylist(column_of(inp.values(batch), batch)))
+            cols.append(column_of(inp.values(batch), batch))
     return cols
 
 

@@ -75,7 +75,7 @@ class SymmetricHashJoin(BinaryOperator):
         self._validate_port(port)
         names = self.keys[port]
         try:
-            key_cols = [batch.pylist(n) for n in names]
+            key_cols = [batch.column(n) for n in names]
         except ColumnUnavailable:
             # Row path reproduces the exact KeyError of record.key().
             return self.process_batch(batch.to_rows(), port)

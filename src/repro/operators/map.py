@@ -60,13 +60,10 @@ class MapOp(UnaryOperator):
         # repro.columnar.ColumnMapFn (which never drop records).
         return hasattr(self.fn, "apply_columns")
 
-    def _transform_columns(self, batch):
-        return self.fn.apply_columns(batch)
-
     def process_columns(self, batch, port: int = 0):
         self._validate_port(port)
         try:
-            return self._transform_columns(batch)
+            return self.fn.apply_columns(batch)
         except ColumnUnavailable:
             return self.process_batch(batch.to_rows(), port)
 
@@ -102,7 +99,8 @@ class Rename(UnaryOperator):
     def supports_columns(self) -> bool:
         return True
 
-    def _transform_columns(self, batch):
+    def process_columns(self, batch, port: int = 0):
+        self._validate_port(port)
         full = batch.materialize()
         mapping_get = self.mapping.get
         names = full.fields()
@@ -110,9 +108,7 @@ class Rename(UnaryOperator):
         if len(set(renamed)) != len(renamed):
             # Colliding targets resolve per-record in the tuple path
             # (that record's key order wins); don't vectorize those.
-            raise ColumnUnavailable(
-                f"rename {self.name!r} maps several fields to one name"
-            )
+            return self.process_batch(batch.to_rows(), port)
         columns = {}
         masks = {}
         for old, new in zip(names, renamed):
@@ -121,13 +117,6 @@ class Rename(UnaryOperator):
             if mask is not None:
                 masks[new] = mask
         return full.with_columns(columns, masks)
-
-    def process_columns(self, batch, port: int = 0):
-        self._validate_port(port)
-        try:
-            return self._transform_columns(batch)
-        except ColumnUnavailable:
-            return self.process_batch(batch.to_rows(), port)
 
     def feedback_mapping(self) -> dict[str, str]:
         """Output attr → input attr (the inverse of ``mapping``).
@@ -214,9 +203,10 @@ class Extend(UnaryOperator):
             for fn in self.additions.values()
         )
 
-    def _transform_columns(self, batch):
+    def process_columns(self, batch, port: int = 0):
         from repro.columnar.expr import column_of
 
+        self._validate_port(port)
         full = batch.materialize()
         columns = {}
         masks = {}
@@ -225,16 +215,13 @@ class Extend(UnaryOperator):
             columns[name] = values
             if mask is not None:
                 masks[name] = mask
-        for out_name, fn in self.additions.items():
-            # Each addition reads the *input* record, same as the tuple
-            # path, so evaluating over the original batch is exact.
-            columns[out_name] = column_of(fn.values(batch), batch)
-            masks.pop(out_name, None)
-        return full.with_columns(columns, masks)
-
-    def process_columns(self, batch, port: int = 0):
-        self._validate_port(port)
         try:
-            return self._transform_columns(batch)
+            for out_name, fn in self.additions.items():
+                # Each addition reads the *input* record, same as the
+                # tuple path, so evaluating over the original batch is
+                # exact.
+                columns[out_name] = column_of(fn.values(batch), batch)
+                masks.pop(out_name, None)
         except ColumnUnavailable:
             return self.process_batch(batch.to_rows(), port)
+        return full.with_columns(columns, masks)

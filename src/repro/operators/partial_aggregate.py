@@ -90,19 +90,18 @@ def _partial_capable(group_by, aggregates) -> bool:
 
 
 def _partial_group_columns(group_by, batch) -> list[list]:
-    """Native-valued grouping columns, resolving BucketOf via ts."""
-    from repro.columnar.batch import as_pylist
+    """Grouping columns, resolving BucketOf via ts."""
     from repro.columnar.expr import column_of
 
     cols = []
     for _name, fn in group_by:
         if isinstance(fn, AttrGetter):
-            cols.append(batch.pylist(fn.attr))
+            cols.append(batch.column(fn.attr))
         elif isinstance(fn, BucketOf):
             bucket_of = fn.window.bucket_of
             cols.append([bucket_of(ts) for ts in batch.ts_list()])
         else:
-            cols.append(as_pylist(column_of(fn.values(batch), batch)))
+            cols.append(column_of(fn.values(batch), batch))
     return cols
 
 

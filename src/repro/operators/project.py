@@ -83,22 +83,18 @@ class Project(UnaryOperator):
             for spec in self.columns.values()
         )
 
-    def _transform_columns(self, batch):
-        """Projected columns over ``batch`` (raises ColumnUnavailable)."""
+    def process_columns(self, batch, port: int = 0):
         from repro.columnar.expr import column_of
 
-        out = {}
-        for name, spec in self.columns.items():
-            if isinstance(spec, str):
-                out[name] = batch.column(spec)
-            else:
-                out[name] = column_of(spec.values(batch), batch)
-        return batch.with_columns(out)
-
-    def process_columns(self, batch, port: int = 0):
         self._validate_port(port)
         try:
-            return self._transform_columns(batch)
+            out = {}
+            for name, spec in self.columns.items():
+                if isinstance(spec, str):
+                    out[name] = batch.column(spec)
+                else:
+                    out[name] = column_of(spec.values(batch), batch)
+            return batch.with_columns(out)
         except ColumnUnavailable:
             return self.process_batch(batch.to_rows(), port)
 

@@ -121,4 +121,9 @@ class Select(UnaryOperator):
             mask = self.predicate.mask(batch)
         except ColumnUnavailable:
             return self.process_batch(batch.to_rows(), port)
+        if type(mask) is not list:
+            # A constant predicate folds to a scalar, not a mask.
+            from repro.columnar.expr import column_of
+
+            mask = column_of(mask, batch)
         return batch.compress(mask)

@@ -39,11 +39,10 @@ is supplied as hooks:
   ``after_epoch`` only: gather ``stats``, decide centrally, broadcast
   ``revise``.
 
-:class:`ExecConfig` carries the four execution keywords
-(``batch_size`` / ``observe`` / ``representation`` / ``column_backend``)
-as one value and owns the single ``Engine(...)`` construction site for
-shard and plain engines.  It is internal: no public constructor takes
-one.
+:class:`ExecConfig` carries the three execution keywords
+(``batch_size`` / ``observe`` / ``representation``) as one value and
+owns the single ``Engine(...)`` construction site for shard and plain
+engines.  It is internal: no public constructor takes one.
 """
 
 from __future__ import annotations
@@ -84,13 +83,12 @@ Element = Record | Punctuation
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """How shard and plain engines execute — the four keywords every
+    """How shard and plain engines execute — the three keywords every
     engine constructor accepts, under the names they accept them."""
 
     batch_size: int | str | None = "auto"
     observe: ObserveConfig | None = None
     representation: str = "tuple"
-    column_backend: str | None = None
 
     def kwargs(self) -> dict:
         """The fields as constructor keywords (``Engine``,

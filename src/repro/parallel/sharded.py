@@ -384,12 +384,11 @@ class ShardedEngine:
         ``("run", "shard:<i>")`` — across the thread *and* process
         backends — and the merged run metrics carry the union of shard
         histograms, gauges, and spans plus a coordinator ``run`` span.
-    representation / column_backend:
+    representation:
         Per-shard engine execution representation (``"tuple"`` or
-        ``"columnar"``) and column storage backend — see
-        :class:`~repro.core.engine.Engine`.  The columnar tier is
-        certified element-identical per shard, so the merge discipline
-        is unchanged.
+        ``"columnar"``) — see :class:`~repro.core.engine.Engine`.  The
+        columnar tier is certified element-identical per shard, so the
+        merge discipline is unchanged.
     """
 
     def __init__(
@@ -401,7 +400,6 @@ class ShardedEngine:
         worker_timeout: float | None = None,
         observe=None,
         representation: str = "tuple",
-        column_backend: str | None = None,
     ) -> None:
         if not isinstance(partition, PartitionSpec):
             raise PlanError(
@@ -434,11 +432,10 @@ class ShardedEngine:
         self.worker_timeout = worker_timeout
         self.observe_config = ObserveConfig.coerce(observe)
         self.representation = representation
-        self.column_backend = column_backend
         #: The execution keywords as one value: what every shard worker
         #: and the ``single`` fallback engine are built from.
         self.config = ExecConfig(
-            batch_size, self.observe_config, representation, column_backend
+            batch_size, self.observe_config, representation
         )
         self._strategy = _analyze(plan, partition)
         # Validate batch_size/representation/backend eagerly (Engine
@@ -778,7 +775,6 @@ def run_sharded(
     worker_timeout: float | None = None,
     observe=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
 ) -> RunResult:
     """One-shot convenience: build a :class:`ShardedEngine` and run it."""
     engine = ShardedEngine(
@@ -789,6 +785,5 @@ def run_sharded(
         worker_timeout=worker_timeout,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
     )
     return engine.run(sources)

@@ -129,7 +129,6 @@ class TimeMachine:
             batch_size=meta.get("batch_size"),
             observe=self.observe,
             representation=meta.get("representation", "tuple"),
-            column_backend=meta.get("column_backend"),
         )
 
     def _fresh_engine(self) -> Engine:

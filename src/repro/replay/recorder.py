@@ -89,7 +89,6 @@ class Recorder:
             {
                 "batch_size": engine.batch_size,
                 "representation": engine.representation,
-                "column_backend": engine.column_backend,
                 "inputs": list(engine.plan.inputs),
                 "outputs": list(engine.plan.outputs),
             }
@@ -174,7 +173,6 @@ def record_run(
     batch_size: int | str | None = None,
     observe=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
     guard=None,
     checkpoint_every: int = 1,
     segment_every: int | None = None,
@@ -197,7 +195,6 @@ def record_run(
         guard=guard,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
         recorder=recorder,
     )
     result = engine.run(sources)
@@ -212,7 +209,6 @@ def record_adaptive(
     observe=True,
     guard=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
     checkpoint_every: int = 1,
     segment_every: int | None = None,
     retention: RetentionPolicy | None = None,
@@ -238,7 +234,6 @@ def record_adaptive(
         guard=guard,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
         recorder=recorder,
     )
     result = adaptive.run(sources)

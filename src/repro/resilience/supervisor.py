@@ -223,7 +223,6 @@ class Supervisor:
             log.meta.update(
                 batch_size=cfg.batch_size,
                 representation=cfg.representation,
-                column_backend=cfg.column_backend,
                 inputs=[st.input_name],
                 outputs=[st.output_name],
                 supervised=True,

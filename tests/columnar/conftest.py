@@ -1,33 +1,13 @@
-"""Shared fixtures for the columnar suite.
-
-The ``backend`` fixture parametrizes tests over every column backend
-the container supports: ``python`` (plain lists) and ``array``
-(``array.array`` for homogeneous numerics) always run; ``numpy`` runs
-when the optional dependency (``pip install repro[numpy]``) is
-importable and is skipped — not failed — otherwise, so the suite is
-green on both bare and numpy-equipped environments.
-"""
+"""Shared fixtures for the columnar suite."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.columnar import BACKENDS, HAVE_NUMPY
-
-BACKEND_PARAMS = [
-    pytest.param(
-        name,
-        marks=(
-            [pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")]
-            if name == "numpy"
-            else []
-        ),
-    )
-    for name in BACKENDS
-]
+from repro.columnar import BACKENDS
 
 
-@pytest.fixture(params=BACKEND_PARAMS)
+@pytest.fixture(params=BACKENDS)
 def backend(request) -> str:
-    """Every available column backend; numpy skip-guarded."""
+    """Every column storage backend (there is one: ``"python"``)."""
     return request.param

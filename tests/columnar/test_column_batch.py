@@ -15,9 +15,11 @@ from repro.columnar import (
     ColumnBatch,
     ColumnError,
     ColumnUnavailable,
-    as_pylist,
 )
-from repro.core import Record
+from repro.core import Engine, Record
+from repro.core.graph import linear_plan
+from repro.errors import PlanError
+from repro.operators.select import Select
 
 
 def _records(rows, ts_attr="ts"):
@@ -46,11 +48,12 @@ def test_from_rows_is_lazy_and_to_rows_returns_originals(backend):
 
 def test_column_access_and_native_values(backend):
     batch = ColumnBatch.from_rows(_records(ROWS), backend)
-    assert as_pylist(batch.column("length")) == [100, 900, 40, 1500]
-    assert batch.pylist("ip") == [7, 8, 7, 9]
-    # pylist values are native Python (hashable group keys), whatever
-    # the backend stores internally.
-    assert all(type(v) is int for v in batch.pylist("length"))
+    assert batch.column("length") == [100, 900, 40, 1500]
+    assert batch.column("ip") == [7, 8, 7, 9]
+    # columns are lists of the records' own values (hashable group
+    # keys that repr exactly as on the tuple path).
+    assert type(batch.column("length")) is list
+    assert all(type(v) is int for v in batch.column("length"))
     assert batch.ts_list() == [0.0, 1.0, 2.0, 3.0]
 
 
@@ -149,6 +152,10 @@ def test_direct_construction_is_forbidden():
         ColumnBatch()
 
 
-def test_unknown_backend_rejected():
+@pytest.mark.parametrize("name", ["arrow", "numpy", "array"])
+def test_unknown_backend_rejected(name):
     with pytest.raises(ColumnError):
-        ColumnBatch.from_rows(_records(ROWS), "arrow")
+        ColumnBatch.from_rows(_records(ROWS), name)
+    plan = linear_plan("in", [Select(lambda r: True)], "out")
+    with pytest.raises(PlanError):
+        Engine(plan, batch_size=4, column_backend=name)

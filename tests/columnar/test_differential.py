@@ -1,7 +1,7 @@
 """Differential certification of the columnar execution tier.
 
-Columnar execution — vectorized kernels, operator fusion, sliced
-ingress, sharded columnar workers, and live representation migrations —
+Columnar execution — vectorized kernels, sliced ingress, sharded
+columnar workers, and live representation migrations —
 is only allowed to change how fast a plan runs, never what it emits.
 This suite reuses the plan registry of the batch differential
 (``tests/core/test_batch_equivalence.py``) and holds every columnar
@@ -12,10 +12,11 @@ output.
 Covered axes:
 
 * every registry plan (examples mirrors + generated grid, punctuated
-  and unpunctuated) x batch sizes {1, 7, 256} on the pure-Python
-  backend;
-* every plan on every installed column backend (numpy skip-guarded);
-* fused vs unfused execution for every linearizable chain;
+  and unpunctuated) plus the expression-predicate plans below x batch
+  sizes {1, 7, 256};
+* every plan on every column backend;
+* per-operator counters (and the sampled batch-size histogram)
+  identical on the tuple, row-batch and columnar tiers;
 * sharded columnar execution on the thread and process backends;
 * live ``SetRepresentation`` migrations (tuple -> columnar mid-run,
   selected by the adaptive controller from measured rates).
@@ -23,13 +24,17 @@ Covered axes:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.adaptive import AdaptiveConfig, AdaptiveEngine
 from repro.adaptive.revision import SetRepresentation, chain_of
-from repro.columnar import FusedOperator, fuse_chain
-from repro.core import run_plan
+from repro.columnar import Col, Lit
+from repro.core import ListSource, run_plan
 from repro.core.graph import linear_plan
+from repro.operators import Select
+from repro.operators.map import Extend
 from repro.parallel.partition import RoundRobinPartition
 from repro.parallel.sharded import run_sharded
 
@@ -38,9 +43,41 @@ from tests.core.test_batch_equivalence import (
     _assert_identical_outputs,
     _grid_chain,
     _assert_identical_outputs as assert_same,
+    _punctuated,
 )
 
 BATCH_SIZES = [1, 7, 256]
+
+# Expression-predicate chains: the registry's predicates are lambdas,
+# which never reach the vectorized Select kernel.
+RATIO_ROWS = [
+    {"ts": float(i), "n": i % 7, "d": i % 3} for i in range(600)
+]
+EXPR_CHAINS = {
+    "expr_select_constant": lambda: [Select(Lit(True))],
+    "expr_select_folded_constant": lambda: [Select(Lit(1) < Lit(2))],
+    "expr_select_and_short_circuit": lambda: [
+        Select((Col("d") != 0) & (Col("n") / Col("d") > 1))
+    ],
+    "expr_select_or_short_circuit": lambda: [
+        Select((Col("d") == 0) | (Col("n") / Col("d") > 1))
+    ],
+    "expr_select_then_extend": lambda: [
+        Select(Col("d") != 0),
+        Extend({"q": Col("n") / Col("d")}),
+    ],
+}
+
+
+def _expr_plan(chain):
+    source = ListSource("in", _punctuated(RATIO_ROWS, "ts", every=45))
+    return linear_plan("in", chain()), {"in": source}
+
+
+PLANS = {
+    **ALL_PLANS,
+    **{name: partial(_expr_plan, chain) for name, chain in EXPR_CHAINS.items()},
+}
 
 
 def _baseline(build):
@@ -50,10 +87,10 @@ def _baseline(build):
     return result
 
 
-@pytest.mark.parametrize("name", sorted(ALL_PLANS), ids=str)
+@pytest.mark.parametrize("name", sorted(PLANS), ids=str)
 def test_columnar_outputs_identical(name):
-    """Columnar tier == tuple tier, every plan x batch size (python)."""
-    build = ALL_PLANS[name]
+    """Columnar tier == tuple tier, every plan x batch size."""
+    build = PLANS[name]
     baseline = _baseline(build)
     for batch_size in BATCH_SIZES:
         plan, sources = build()
@@ -65,10 +102,10 @@ def test_columnar_outputs_identical(name):
         )
 
 
-@pytest.mark.parametrize("name", sorted(ALL_PLANS), ids=str)
+@pytest.mark.parametrize("name", sorted(PLANS), ids=str)
 def test_columnar_backends_identical(name, backend):
     """Each column backend produces the same stream (batch 256)."""
-    build = ALL_PLANS[name]
+    build = PLANS[name]
     baseline = _baseline(build)
     plan, sources = build()
     result = run_plan(
@@ -81,36 +118,52 @@ def test_columnar_backends_identical(name, backend):
     _assert_identical_outputs(name, baseline, result, f"columnar-{backend}")
 
 
-def _fused_build(build):
-    """Rebuild ``build``'s plan with its stateless runs fused, or None
-    when the plan is not a linear chain / nothing fuses."""
+def test_right_operand_error_raises_as_on_tuple_path():
+    """A ``&`` whose right operand fails on a record the left operand
+    *accepts* raises on every tier — the row fallback reproduces the
+    tuple path, it does not swallow the error."""
+    chain = lambda: [Select((Col("n") >= 0) & (Col("n") / Col("d") > 1))]
+    for kwargs in (
+        {},
+        {"batch_size": 7},
+        {"batch_size": 7, "representation": "columnar"},
+    ):
+        plan, sources = _expr_plan(chain)
+        with pytest.raises(ZeroDivisionError):
+            run_plan(plan, sources, **kwargs)
+
+
+COUNTERS = ("records_in", "records_out", "punctuations_in", "punctuations_out")
+
+
+@pytest.mark.parametrize("name", sorted(PLANS), ids=str)
+def test_operator_counters_identical_across_tiers(name):
+    """Every operator counts the same elements in and out on the tuple,
+    row-batch and columnar tiers, and — fully sampled — the batch-size
+    histogram holds one sample per batch dispatch on both the row and
+    the column entry point."""
+    build = PLANS[name]
     plan, sources = build()
-    chain = chain_of(plan)
-    if chain is None:
-        return None
-    fused = fuse_chain(chain)
-    if not any(isinstance(op, FusedOperator) for op in fused):
-        return None
-    input_name = next(iter(plan.inputs))
-    output_name = next(iter(plan.outputs))
-    return linear_plan(input_name, fused, output_name), sources
-
-
-@pytest.mark.parametrize("name", sorted(ALL_PLANS), ids=str)
-def test_fused_outputs_identical(name):
-    """Fused chains == unfused chains == tuple baseline."""
-    fused = _fused_build(ALL_PLANS[name])
-    if fused is None:
-        pytest.skip("plan has no fusable stateless run")
-    baseline = _baseline(ALL_PLANS[name])
-    for batch_size in (7, 256):
-        plan, sources = _fused_build(ALL_PLANS[name])
-        result = run_plan(
-            plan, sources, batch_size=batch_size, representation="columnar"
-        )
-        _assert_identical_outputs(
-            name, baseline, result, f"fused@{batch_size}"
-        )
+    reference = run_plan(plan, sources).metrics.operators
+    for representation in ("tuple", "columnar"):
+        plan, sources = build()
+        metrics = run_plan(
+            plan,
+            sources,
+            batch_size=256,
+            representation=representation,
+            observe=1,
+        ).metrics
+        assert set(metrics.operators) == set(reference)
+        for op_name, m in metrics.operators.items():
+            label = f"{name}[{representation}] operator {op_name!r}"
+            for counter in COUNTERS:
+                assert getattr(m, counter) == getattr(
+                    reference[op_name], counter
+                ), f"{label} {counter}"
+            hist = metrics.histograms.get(f"op.{op_name}.batch_size")
+            sampled = hist.count if hist is not None else 0
+            assert sampled == m.batches_in, f"{label} batch_size samples"
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])

@@ -9,10 +9,8 @@ every kernel relies on:
 * ``compress(mask)`` agrees with :func:`itertools.compress` on rows;
 * ``with_columns`` preserves element count, order, and stamps.
 
-Each law is checked on every available backend (numpy included only
-when installed, mirroring the suite's skip-guard fixture; backends are
-looped inside the test body because hypothesis forbids function-scoped
-fixtures under ``@given``).
+Each law is checked on every backend (looped inside the test body
+because hypothesis forbids function-scoped fixtures under ``@given``).
 """
 
 from __future__ import annotations
@@ -22,12 +20,8 @@ from itertools import compress as itcompress
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar import BACKENDS, ColumnBatch, HAVE_NUMPY
+from repro.columnar import BACKENDS, ColumnBatch
 from repro.core import Record
-
-AVAILABLE = tuple(
-    b for b in BACKENDS if b != "numpy" or HAVE_NUMPY
-)
 
 # Hypothesis property suites run in the slow CI lane, like the synopsis
 # and adaptive property layers.
@@ -58,7 +52,7 @@ def _records(rows):
 @given(rows=_rows)
 def test_materialize_to_rows_round_trip(rows):
     records = _records(rows)
-    for backend in AVAILABLE:
+    for backend in BACKENDS:
         rebuilt = (
             ColumnBatch.from_rows(records, backend).materialize().to_rows()
         )
@@ -78,7 +72,7 @@ def test_compress_matches_itertools_compress(rows, data):
         )
     )
     want = list(itcompress(records, mask))
-    for backend in AVAILABLE:
+    for backend in BACKENDS:
         # row-backed slice
         assert ColumnBatch.from_rows(records, backend).compress(
             mask
@@ -97,7 +91,7 @@ def test_compress_matches_itertools_compress(rows, data):
 @given(rows=_rows)
 def test_with_columns_preserves_stamps(rows):
     records = _records(rows)
-    for backend in AVAILABLE:
+    for backend in BACKENDS:
         batch = ColumnBatch.from_rows(records, backend)
         derived = batch.with_columns({"idx": list(range(len(records)))})
         assert len(derived) == len(records)

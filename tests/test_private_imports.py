@@ -1,15 +1,22 @@
-"""Keep private names private across packages.
+"""Import hygiene of ``src/repro``, checked on the AST.
 
-A leading underscore means "this package's business".  This test fails
-when a module under ``src/repro/<pkg>/`` imports an underscore-prefixed
-name from a *different* ``repro`` package — the coupling that let four
-packages grow four copies of the shard-worker protocol.  Imports within
-one package are fine.
+**Private names stay private across packages.**  A leading underscore
+means "this package's business".  The first test fails when a module
+under ``src/repro/<pkg>/`` imports an underscore-prefixed name from a
+*different* ``repro`` package — the coupling that let four packages
+grow four copies of the shard-worker protocol.  Imports within one
+package are fine.
+
+**The standard library only.**  ``pyproject.toml`` promises
+``dependencies = []``; the last test fails on any import — guarded by
+``try`` or not — of a top-level package that is neither ``repro`` nor
+in ``sys.stdlib_module_names``.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -64,3 +71,24 @@ def test_allowlist_only_names_live_offenders():
     shrinks with every fix instead of fossilising."""
     stale = ALLOWED - _cross_package_private_imports()
     assert not stale, f"remove fixed entries from ALLOWED: {sorted(stale)}"
+
+
+def test_src_imports_stdlib_only():
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    foreign = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] not in allowed:
+                    foreign.add((path.relative_to(SRC).as_posix(), module))
+    assert not foreign, (
+        "src/repro must run on the standard library alone "
+        f"(dependencies = []): {sorted(foreign)}"
+    )
